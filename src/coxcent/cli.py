@@ -24,13 +24,13 @@ from .finite import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     centralizer,
+    conjugated_normalizer,
     enumerate_group,
     involution_classes,
-    normalizer,
     verify_centralizer_certificate,
     verify_centralizer_is_normalizer,
 )
-from .group import CoxeterContext, shortlex_key, word_from_string, word_to_string
+from .group import CoxeterContext, word_from_string, word_to_string
 from .involution import (
     involution_certificate,
     is_involution,
@@ -80,6 +80,8 @@ def _load_system(args, parser) -> tuple[CoxeterContext, str | dict]:
         with open(args.matrix_file, encoding="utf-8") as fh:
             doc = json.load(fh)
         rank, m = doc["rank"], doc["m"]
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise ValueError(f"rank must be an integer, got {rank!r}")
         if len(m) != rank:
             raise ValueError(f"matrix has {len(m)} rows, declared rank {rank}")
         ctx = CoxeterContext(m)
@@ -183,12 +185,8 @@ def cmd_centralizer(ctx, system, word, cap) -> tuple[dict, int]:
             ),
         }
         return doc, 1
-    norm = normalizer(cert.subset, group)
-    u = cert.conjugator
-    u_inv = u.inverse()
-    conjugated = sorted((u_inv * g * u for g in norm), key=shortlex_key)
-    brute = centralizer(el, group)
-    match = {e.word for e in conjugated} == brute.words()
+    conjugated = conjugated_normalizer(cert, group)
+    match = conjugated.words() == centralizer(el, group).words()
     doc = {
         "system": system,
         "certificate": _certificate_doc(cert),

@@ -1,11 +1,12 @@
 """Brute-force oracles on finite Coxeter groups.
 
-Full enumeration is a breadth-first search over right multiplication by
-generators, deduplicating by the ShortLex normal-form word; matrices are used
-only to construct new elements.  The search also fills a step table
-(index, generator) -> index, after which centralizers, normalizers, conjugacy
-orbits and set-wise identity checks are pure index walks: multiplying by a
-known element costs one table lookup per letter of its word.
+Full enumeration is a ShortLex breadth-first search over right multiplication
+by generators; it never multiplies or peels, because the first time it reaches
+an element it already holds that element's normal form.  The search also fills
+a step table (index, generator) -> index, after which centralizers,
+normalizers, conjugacy orbits and set-wise identity checks are pure index
+walks: multiplying by a known element costs one table lookup per letter of
+its word.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
@@ -44,10 +45,9 @@ class ElementSet:
     conjugacy classes) are plain collections, stored in ShortLex order.
     """
 
-    def __init__(self, context: CoxeterContext, elements, closed_under_inverse=None, _steps=None):
+    def __init__(self, context: CoxeterContext, elements, _steps=None):
         self.context = context
         self.elements = tuple(elements)
-        self.closed_under_inverse = closed_under_inverse
         self._index = {el.word: i for i, el in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
@@ -73,10 +73,6 @@ class ElementSet:
         return frozenset(self._index)
 
     # --- index machinery, available on full groups only ---
-
-    @property
-    def is_full_group(self) -> bool:
-        return self._steps is not None
 
     def _require_full(self):
         if self._steps is None:
@@ -109,15 +105,22 @@ class ElementSet:
 
 
 def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> ElementSet:
-    """All elements of a finite group by BFS from the identity.
+    """All elements of a finite group by ShortLex BFS from the identity.
 
-    Raises EnumerationCapExceeded as soon as more than `cap` elements appear,
-    which is the signal for infinite (or merely too large) groups.
+    Invariant: the queue holds elements in ShortLex order of their words, and
+    each is expanded by generators in increasing order.  So the first pair
+    (g, s) that reaches a new element h = g*s has the ShortLex-least word
+    word(g) + (s,) among all ways to reach h from the previous layer, which
+    is the normal form of h (a prefix of a normal form is a normal form).
+    New elements therefore take word(g) + (s,) as is, and are recognised by
+    their orbit key.  Raises EnumerationCapExceeded as soon as more than `cap`
+    elements appear, which is the signal for infinite (or merely too large)
+    groups.
     """
     n = ctx.rank
     identity = ctx.identity()
     elements = [identity]
-    index = {(): 0}
+    index = {identity.orbit_key(): 0}
     steps: list[list] = [[None] * n]
     queue = deque([0])
     while queue:
@@ -127,19 +130,20 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
         for s in range(n):
             if row[s] is not None:
                 continue
-            h = g * ctx.generator(s)
-            j = index.get(h.word)
+            h = g.successor(s)
+            key = h.orbit_key()
+            j = index.get(key)
             if j is None:
                 if len(elements) >= cap:
                     raise EnumerationCapExceeded(cap)
                 j = len(elements)
-                index[h.word] = j
+                index[key] = j
                 elements.append(h)
                 steps.append([None] * n)
                 queue.append(j)
             row[s] = j
             steps[j][s] = i  # (g s) s = g
-    return ElementSet(ctx, elements, closed_under_inverse=True, _steps=steps)
+    return ElementSet(ctx, elements, _steps=steps)
 
 
 def centralizer(w: GroupElement, group: ElementSet) -> ElementSet:
@@ -153,7 +157,7 @@ def centralizer(w: GroupElement, group: ElementSet) -> ElementSet:
         if group.walk(i, word_w) == group.walk(k, el.word)
     ]
     members.sort(key=shortlex_key)
-    return ElementSet(group.context, members, closed_under_inverse=True)
+    return ElementSet(group.context, members)
 
 
 def normalizer(subset, group: ElementSet) -> ElementSet:
@@ -180,7 +184,7 @@ def normalizer(subset, group: ElementSet) -> ElementSet:
         if ok:
             members.append(el)
     members.sort(key=shortlex_key)
-    return ElementSet(ctx, members, closed_under_inverse=True)
+    return ElementSet(ctx, members)
 
 
 def verify_centralizer_is_normalizer(subset, group: ElementSet) -> bool:
@@ -189,19 +193,23 @@ def verify_centralizer_is_normalizer(subset, group: ElementSet) -> bool:
     return centralizer(rho, group).words() == normalizer(subset, group).words()
 
 
+def conjugated_normalizer(cert: InvolutionCertificate, group: ElementSet) -> ElementSet:
+    """u^-1 N_W(W_I) u for the certificate (I, u), by index walks, in ShortLex order."""
+    group._require_full()
+    u_word = cert.conjugator.word
+    uinv_idx = group.inverse_index(group.index_of(cert.conjugator))
+    members = [
+        group.elements[group.walk(group.walk(uinv_idx, g.word), u_word)]
+        for g in normalizer(cert.subset, group)
+    ]
+    members.sort(key=shortlex_key)
+    return ElementSet(group.context, members)
+
+
 def verify_centralizer_certificate(w: GroupElement, group: ElementSet) -> bool:
     """Set equality Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w."""
-    group._require_full()
     cert = involution_certificate(w)
-    norm = normalizer(cert.subset, group)
-    u_idx = group.index_of(cert.conjugator)
-    u_word = cert.conjugator.word
-    uinv_idx = group.inverse_index(u_idx)
-    conjugated = frozenset(
-        group.elements[group.walk(group.walk(uinv_idx, g.word), u_word)].word
-        for g in norm
-    )
-    return conjugated == centralizer(w, group).words()
+    return conjugated_normalizer(cert, group).words() == centralizer(w, group).words()
 
 
 def involution_classes(group: ElementSet) -> list[tuple[ElementSet, InvolutionCertificate]]:
@@ -238,5 +246,5 @@ def involution_classes(group: ElementSet) -> list[tuple[ElementSet, InvolutionCe
         if rho_idx not in orbit:
             raise AssertionError("class does not contain its certificate's longest element")
         members = sorted((group.elements[i] for i in orbit), key=shortlex_key)
-        out.append((ElementSet(ctx, members, closed_under_inverse=True), cert))
+        out.append((ElementSet(ctx, members), cert))
     return out

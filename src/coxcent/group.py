@@ -3,18 +3,23 @@
 Conventions.  Generators are 0-based ints internally (1-based only in I/O).
 A root is its coordinate vector over the simple-root basis; every root hit by
 group elements from the basis is entirely nonnegative or entirely nonpositive.
-A group element caches its ShortLex reduced word together with the matrices of
-w and w^-1, stored column-wise: cols[t] is the coordinate vector of w * alpha_t.
-The matrices give O(n^2) descent and equality tests, the word gives length and
-inversion sets.
 
-The ShortLex normal form is computed by peeling least left descents: s is a
-left descent of w iff column s of the matrix of w^-1 is a negative root, so
-the word comes off the inverse matrix one letter at a time.  No reflection
-automaton is used; the only primitive is the exact sign of a coordinate.
+A group element is its ShortLex reduced word plus, once asked for, the vector
+w^-1(rho) in weight coordinates, where rho = (1, ..., 1).  Coordinate t of
+w(rho) is the height of the root w^-1(alpha_t), so it is negative exactly when
+t is a left descent of w; likewise the negative coordinates of w^-1(rho) are
+the right descents.  A simple reflection changes only coordinate s and the
+coordinates of the neighbours of s.  Only this module reads these vectors.
 
-Everything here is an immutable value; operations are pure functions of their
-inputs, safe to share between threads.
+Every normal form comes from one routine: build w(rho) from any word for w,
+then peel the least negative coordinate (the least left descent) one letter
+at a time.  No reflection automaton is used; the only primitive is the exact
+sign of a coordinate, read lazily so that a rescan after one peel step only
+evaluates the coordinates that step changed.
+
+Elements are immutable values apart from the cached vector, which is filled
+in at most once with a value that depends only on the word; operations are
+pure functions of their inputs, safe to share between threads.
 """
 
 from __future__ import annotations
@@ -29,13 +34,17 @@ class MixedSignRootError(ArithmeticError):
 
 
 def validate_coxeter_matrix(matrix) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    rows = tuple(tuple(row) for row in matrix)
     n = len(rows)
     if n == 0:
         raise ValueError("empty Coxeter matrix")
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        for j, m in enumerate(row):
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise ValueError(f"entry ({i},{j}) must be an integer, got {m!r}")
+    for i, row in enumerate(rows):
         if row[i] != 1:
             raise ValueError(f"diagonal entry ({i},{i}) must be 1")
         for j in range(n):
@@ -111,8 +120,9 @@ class Root:
 class CoxeterContext:
     """A Coxeter system: matrix, shared scalar field, and reflection coefficients.
 
-    action_coeff[s][t] = 2cos(pi/m_st) exactly; the reflection acts by
-    (s*g)_t = g_t for t != s and (s*g)_s = -g_s + sum_t action_coeff[s][t]*g_t.
+    action_coeff[s][t] = 2cos(pi/m_st) exactly; on roots the reflection acts by
+    (s*g)_t = g_t for t != s and (s*g)_s = -g_s + sum_t action_coeff[s][t]*g_t,
+    on weight coordinates by (s*v)_s = -v_s and (s*v)_t = v_t + action_coeff[s][t]*v_s.
     Immutable and shareable; the longest-element memo only ever gains entries.
     """
 
@@ -138,18 +148,9 @@ class CoxeterContext:
         self.action_coeff = tuple(coeff)
         self.neighbors = tuple(neighbors)
 
-        zero, one = self.field.zero, self.field.one
-        basis = []
-        for t in range(n):
-            col = [zero] * n
-            col[t] = one
-            basis.append(tuple(col))
-        self._identity_cols = tuple(basis)
-        self._neg_basis = tuple(tuple(-c for c in col) for col in basis)
-        self._identity = GroupElement(self, (), self._identity_cols, self._identity_cols)
-        self._generators = tuple(
-            GroupElement(self, (s,), self._gen_cols(s), self._gen_cols(s)) for s in range(n)
-        )
+        self._rho = (self.field.one,) * n
+        self._identity = GroupElement(self, (), self._rho)
+        self._generators = tuple(GroupElement(self, (s,)) for s in range(n))
         self._longest_memo: dict[frozenset, GroupElement] = {}
 
     @classmethod
@@ -158,95 +159,65 @@ class CoxeterContext:
 
         return cls(matrix_for_name(name))
 
-    def _gen_cols(self, s):
-        cols = list(self._identity_cols)
-        cols[s] = self._neg_basis[s]
+    # --- weight vectors (lists of scalars, updated in place) ---
+
+    def _reflect_weights(self, v: list, s: int) -> None:
+        x = v[s]
         coeffs = self.action_coeff[s]
         for t in self.neighbors[s]:
-            col = list(self._identity_cols[t])
-            col[s] = coeffs[t]
-            cols[t] = tuple(col)
-        return tuple(cols)
+            v[t] = v[t] + coeffs[t] * x
+        v[s] = -x
 
-    # --- matrix plumbing (column-major: cols[t] = image of alpha_t) ---
+    def _orbit(self, word) -> list:
+        """w(rho) for w the product of the word (letters act right to left)."""
+        v = list(self._rho)
+        for s in reversed(word):
+            self._reflect_weights(v, s)
+        return v
 
-    def _apply_right(self, cols, s):
-        """Columns of A * M_s: col_t += c_st * col_s for neighbors, col_s negated."""
-        col_s = cols[s]
-        new = list(cols)
-        coeffs = self.action_coeff[s]
-        for t in self.neighbors[s]:
-            c = coeffs[t]
-            new[t] = tuple(
-                (x + c * y) if y else x for x, y in zip(cols[t], col_s)
-            )
-        new[s] = tuple(-x for x in col_s)
-        return tuple(new)
+    def _peel(self, v: list) -> "GroupElement":
+        """The element w with w(rho) = v, its ShortLex word read off by peeling.
 
-    def _apply_left(self, cols, s):
-        """Columns of M_s * A: coordinate s of every column is reflected."""
-        coeffs = self.action_coeff[s]
-        nbr = self.neighbors[s]
-        new = []
-        for col in cols:
-            acc = -col[s]
-            for t in nbr:
-                if col[t]:
-                    acc = acc + coeffs[t] * col[t]
-            new.append(col[:s] + (acc,) + col[s + 1 :])
-        return tuple(new)
-
-    def _matmul(self, a_cols, b_cols):
-        n = self.rank
-        zero = self.field.zero
-        out = []
-        for bcol in b_cols:
-            acc = None
-            for i, b in enumerate(bcol):
-                if b:
-                    term = tuple(b * x if x else zero for x in a_cols[i])
-                    acc = term if acc is None else tuple(u + v for u, v in zip(acc, term))
-            out.append(acc if acc is not None else (zero,) * n)
-        return tuple(out)
-
-    def _column_sign(self, col) -> int:
-        for x in col:
-            s = x.sign()
-            if s:
-                return s
-        return 0
-
-    def _word_from_inverse_cols(self, inv_cols) -> tuple[int, ...]:
-        """ShortLex word of w given the matrix of w^-1, by least-descent peeling."""
+        The least negative coordinate of v is the least left descent s of w, the
+        first letter of its ShortLex word; v then becomes s(v), the vector of s*w.
+        """
         n = self.rank
         neighbors = self.neighbors
-        action_coeff = self.action_coeff
-        column_sign = self._column_sign
-        cols = [list(c) for c in inv_cols]  # in-place work buffers
-        signs = [column_sign(c) for c in cols]
+        signs = [None] * n  # sign of v[t], None until read or after v[t] changed
         word = []
         while True:
-            s = -1
-            for i in range(n):
-                if signs[i] < 0:
-                    s = i
+            for s in range(n):
+                sign = signs[s]
+                if sign is None:
+                    sign = signs[s] = v[s].sign()
+                if sign < 0:
                     break
-            if s < 0:
-                return tuple(word)
+            else:
+                return GroupElement(self, tuple(word))
             word.append(s)
-            col_s = cols[s]
-            coeffs = action_coeff[s]
+            self._reflect_weights(v, s)
+            signs[s] = 1
             for t in neighbors[s]:
-                c = coeffs[t]
-                col_t = cols[t]
-                for k in range(n):
-                    y = col_s[k]
-                    if y:
-                        col_t[k] = col_t[k] + c * y
-                signs[t] = column_sign(col_t)
-            for k in range(n):
-                col_s[k] = -col_s[k]
-            signs[s] = 1  # was negative; negating the column flips its sign
+                signs[t] = None
+
+    def _normal_form(self, word) -> "GroupElement":
+        return self._peel(self._orbit(word))
+
+    # --- roots ---
+
+    def _reflect_coords(self, s: int, coords: tuple) -> tuple:
+        coeffs = self.action_coeff[s]
+        acc = -coords[s]
+        for t in self.neighbors[s]:
+            if coords[t]:
+                acc = acc + coeffs[t] * coords[t]
+        return coords[:s] + (acc,) + coords[s + 1 :]
+
+    def _act(self, word, coords: tuple) -> tuple:
+        """Coordinates of w(gamma) for w the product of the word."""
+        for s in reversed(word):
+            coords = self._reflect_coords(s, coords)
+        return coords
 
     # --- public construction ---
 
@@ -257,7 +228,8 @@ class CoxeterContext:
         return self._generators[s]
 
     def simple_root(self, s: int) -> Root:
-        return Root(self, self._identity_cols[s])
+        field = self.field
+        return Root(self, tuple(field.one if t == s else field.zero for t in range(self.rank)))
 
     def element(self, word) -> "GroupElement":
         """ShortLex normal form of an arbitrary generator sequence."""
@@ -266,50 +238,54 @@ class CoxeterContext:
         for s in word:
             if not 0 <= s < n:
                 raise ValueError(f"generator index {s} out of range 0..{n - 1}")
-        inv = self._identity_cols
-        for s in reversed(word):
-            inv = self._apply_right(inv, s)
-        nf = self._word_from_inverse_cols(inv)
-        cols = self._identity_cols
-        for s in nf:
-            cols = self._apply_right(cols, s)
-        return GroupElement(self, nf, cols, inv)
+        return self._normal_form(word)
+
+    def greedy_longest(self, subset) -> "GroupElement":
+        """Longest element of the standard parabolic on `subset`, which must be finite.
+
+        Left-multiplies the identity by generators of the subset that are not
+        yet left descents until none is left; the result does not depend on
+        the choices, and the climb ends holding w(rho), so one peel gives the
+        word.  Never returns on an infinite parabolic: callers check finiteness
+        first (involution.longest_element does).
+        """
+        gens = sorted(subset)
+        v = list(self._rho)
+        while True:
+            s = next((t for t in gens if v[t].sign() > 0), None)
+            if s is None:
+                return self._peel(v)
+            self._reflect_weights(v, s)
 
     def reflect(self, s: int, root: Root) -> Root:
         """Apply the simple reflection s to a root (involutive)."""
         if root.context is not self:
             raise ValueError("root from a different context")
-        coords = root.coords
-        coeffs = self.action_coeff[s]
-        acc = -coords[s]
-        for t in self.neighbors[s]:
-            if coords[t]:
-                acc = acc + coeffs[t] * coords[t]
-        return Root(self, coords[:s] + (acc,) + coords[s + 1 :])
+        return Root(self, self._reflect_coords(s, root.coords))
 
     def __repr__(self):
         return f"CoxeterContext(rank {self.rank}, field {self.field!r})"
 
 
-# update paths beat a full matrix product when one factor's word is this short
-_SHORT_FACTOR = 4
-
-
 class GroupElement:
-    """A group element: ShortLex reduced word plus cached action matrices.
+    """A group element: its ShortLex reduced word, plus w^-1(rho) once asked for.
 
-    Equal iff the words are equal (iff the matrices are equal).  The matrix of
-    w^-1 is carried alongside so that left descents and inversion are as cheap
-    as right ones.
+    Equal iff the words are equal.  Elements come from CoxeterContext, whose
+    peeling makes the word the normal form, and from successor().
     """
 
-    __slots__ = ("context", "word", "_cols", "_inv_cols")
+    __slots__ = ("context", "word", "_inv_rho")
 
-    def __init__(self, context, word, cols, inv_cols):
+    def __init__(self, context, word, inv_rho=None):
         self.context = context
         self.word = word
-        self._cols = cols
-        self._inv_cols = inv_cols
+        self._inv_rho = inv_rho
+
+    def _inverse_rho(self) -> tuple:
+        v = self._inv_rho
+        if v is None:
+            v = self._inv_rho = tuple(self.context._orbit(self.word[::-1]))
+        return v
 
     @property
     def length(self) -> int:
@@ -322,11 +298,11 @@ class GroupElement:
     @property
     def matrix(self):
         """Row-major matrix of the action; column t is w * alpha_t."""
-        n = self.context.rank
-        return tuple(tuple(self._cols[t][i] for t in range(n)) for i in range(n))
+        return tuple(zip(*(self.column(t).coords for t in range(self.context.rank))))
 
     def column(self, t: int) -> Root:
-        return Root(self.context, self._cols[t])
+        ctx = self.context
+        return Root(ctx, ctx._act(self.word, ctx.simple_root(t).coords))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         ctx = self.context
@@ -334,60 +310,41 @@ class GroupElement:
             return NotImplemented
         if other.context is not ctx:
             raise ValueError("elements from different contexts")
-        la, lb = len(self.word), len(other.word)
-        if min(la, lb) <= max(_SHORT_FACTOR, ctx.rank):
-            if lb <= la:
-                cols = self._cols
-                for s in other.word:
-                    cols = ctx._apply_right(cols, s)
-                inv = self._inv_cols
-                for s in other.word:
-                    inv = ctx._apply_left(inv, s)
-            else:
-                cols = other._cols
-                for s in reversed(self.word):
-                    cols = ctx._apply_left(cols, s)
-                inv = other._inv_cols
-                for s in reversed(self.word):
-                    inv = ctx._apply_right(inv, s)
-        else:
-            cols = ctx._matmul(self._cols, other._cols)
-            inv = ctx._matmul(other._inv_cols, self._inv_cols)
-        word = ctx._word_from_inverse_cols(inv)
-        return GroupElement(ctx, word, cols, inv)
+        return ctx._normal_form(self.word + other.word)
 
     def inverse(self) -> "GroupElement":
-        ctx = self.context
-        word = ctx._word_from_inverse_cols(self._cols)
-        return GroupElement(ctx, word, self._inv_cols, self._cols)
+        return self.context._normal_form(self.word[::-1])
+
+    def successor(self, s: int) -> "GroupElement":
+        """self * s under the word self.word + (s,), built without peeling.
+
+        That word must be the ShortLex normal form of self * s, as it is the
+        first time the ShortLex BFS of finite.enumerate_group reaches self * s.
+        The result's orbit_key() is exact whatever the word.
+        """
+        v = list(self._inverse_rho())
+        self.context._reflect_weights(v, s)  # (w s)^-1 (rho) = s(w^-1(rho))
+        return GroupElement(self.context, self.word + (s,), tuple(v))
+
+    def orbit_key(self) -> tuple:
+        """A hashable key, equal for two elements of one context iff they are equal."""
+        return self._inverse_rho()
 
     def act(self, root: Root) -> Root:
         """Image of a root under this element's action on the representation space."""
         ctx = self.context
         if not isinstance(root, Root) or root.context is not ctx:
             raise ValueError("root from a different context")
-        zero = ctx.field.zero
-        acc = None
-        for t, c in enumerate(root.coords):
-            if c:
-                term = tuple(c * x if x else zero for x in self._cols[t])
-                acc = term if acc is None else tuple(u + v for u, v in zip(acc, term))
-        if acc is None:
-            acc = (zero,) * ctx.rank
-        return Root(ctx, acc)
+        return Root(ctx, ctx._act(self.word, root.coords))
 
     def right_descents(self) -> frozenset[int]:
         """Generators s with length(w s) < length(w), i.e. w * alpha_s negative."""
-        ctx = self.context
-        return frozenset(
-            s for s in range(ctx.rank) if ctx._column_sign(self._cols[s]) < 0
-        )
+        v = self._inverse_rho()
+        return frozenset(s for s in range(self.context.rank) if v[s].sign() < 0)
 
     def left_descents(self) -> frozenset[int]:
-        ctx = self.context
-        return frozenset(
-            s for s in range(ctx.rank) if ctx._column_sign(self._inv_cols[s]) < 0
-        )
+        v = self.context._orbit(self.word)
+        return frozenset(s for s in range(self.context.rank) if v[s].sign() < 0)
 
     def inversion_set(self) -> frozenset[Root]:
         """The positive roots this element sends negative; size equals the length.
@@ -397,13 +354,12 @@ class GroupElement:
         """
         ctx = self.context
         word = self.word
-        out = []
-        cols = ctx._identity_cols
-        for s in reversed(word):
-            out.append(Root(ctx, cols[s]))
-            cols = ctx._apply_right(cols, s)
-        roots = frozenset(out)
-        assert len(roots) == len(word), "inversion multiset collapsed"
+        roots = frozenset(
+            Root(ctx, ctx._act(word[j + 1 :][::-1], ctx.simple_root(s).coords))
+            for j, s in enumerate(word)
+        )
+        if len(roots) != len(word):
+            raise ArithmeticError("inversion multiset collapsed")
         return roots
 
     def __eq__(self, other):

@@ -29,8 +29,9 @@ def is_involution(w: GroupElement) -> bool:
 def negated_simples(w: GroupElement) -> frozenset[int]:
     """Generators whose simple root is sent to its exact negative by w."""
     ctx = w.context
-    neg = ctx._neg_basis
-    return frozenset(s for s in range(ctx.rank) if w._cols[s] == neg[s])
+    return frozenset(
+        s for s in w.right_descents() if w.column(s) == -ctx.simple_root(s)
+    )
 
 
 def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
@@ -46,9 +47,8 @@ def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
 def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
     """Longest element of a finite standard parabolic, by greedy ascent.
 
-    Starting from the identity, repeatedly right-multiply by any generator in
-    the subset whose simple root is still sent positive; the result is
-    independent of the choices.  Rejects infinite parabolics.
+    The ascent is CoxeterContext.greedy_longest; results are memoized per
+    context.  Rejects infinite parabolics.
     """
     key = frozenset(subset)
     cached = ctx._longest_memo.get(key)
@@ -56,17 +56,7 @@ def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
         return cached
     if not is_finite_parabolic(ctx, key):
         raise ValueError(f"infinite parabolic subgroup on {sorted(s + 1 for s in key)}")
-    gens = sorted(key)
-    cols = ctx._identity_cols
-    inv = ctx._identity_cols
-    while True:
-        s = next((t for t in gens if ctx._column_sign(cols[t]) > 0), None)
-        if s is None:
-            break
-        cols = ctx._apply_right(cols, s)
-        inv = ctx._apply_left(inv, s)
-    word = ctx._word_from_inverse_cols(inv)
-    element = GroupElement(ctx, word, cols, inv)
+    element = ctx.greedy_longest(key)
     ctx._longest_memo[key] = element
     return element
 

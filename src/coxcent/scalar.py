@@ -386,9 +386,6 @@ class AlgebraicScalar:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def sign(self) -> int:
         """-1, 0 or +1; exact zero test first, then certified interval refinement."""
         s = self._sign

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 COX = [sys.executable, "-m", "coxcent"]
 
 
@@ -134,6 +136,22 @@ def test_matrix_file_invalid(tmp_path):
     proc = run("reduce", "--matrix", str(path), "--word", "1")
     assert proc.returncode == 2
     assert "symmetric" in proc.stderr
+
+
+@pytest.mark.parametrize("doc,shown", [
+    ({"rank": 2, "m": [[1, 3.9], [3.9, 1]]}, "3.9"),
+    ({"rank": 2, "m": [[1, True], [True, 1]]}, "True"),
+    ({"rank": 2, "m": [[1, "4"], ["4", 1]]}, "'4'"),
+    ({"rank": True, "m": [[1]]}, "True"),
+    ({"rank": 2.0, "m": [[1, 3], [3, 1]]}, "2.0"),
+], ids=["float", "bool", "string", "bool-rank", "float-rank"])
+def test_matrix_file_rejects_non_integers(tmp_path, doc, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run("reduce", "--matrix", str(path), "--word", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert shown in proc.stderr
 
 
 def test_json_flag_compact_and_deterministic():

@@ -194,7 +194,7 @@ def test_multiply_inverse_length(context_of):
 
 
 def test_multiply_associative_mixed_paths(context_of):
-    # exercise both the short-word update path and the full matrix product
+    # long and short factors on both sides, in a degree-4 field
     ctx = context_of("F4")
     rng = random.Random(31)
     for _ in range(10):
