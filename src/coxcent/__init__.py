@@ -6,7 +6,7 @@ Z_W(w) = u^-1 N_W(W_I) u; on finite groups the identity is verified against
 brute-force centralizers and normalizers.  All arithmetic is exact.
 """
 
-from .scalar import AlgebraicScalar, FieldContext
+from .scalar import AlgebraicScalar, FieldContext, FieldDegreeError
 from .group import (
     CoxeterContext,
     GroupElement,
@@ -28,9 +28,11 @@ from .finite import (
     DEFAULT_ENUMERATION_CAP,
     ElementSet,
     EnumerationCapExceeded,
+    InfiniteGroupError,
     centralizer,
     enumerate_group,
     involution_classes,
+    involutions,
     normalizer,
     verify_centralizer_certificate,
     verify_centralizer_is_normalizer,
@@ -40,6 +42,7 @@ from . import catalog
 __all__ = [
     "AlgebraicScalar",
     "FieldContext",
+    "FieldDegreeError",
     "CoxeterContext",
     "GroupElement",
     "MixedSignRootError",
@@ -56,9 +59,11 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "ElementSet",
     "EnumerationCapExceeded",
+    "InfiniteGroupError",
     "centralizer",
     "enumerate_group",
     "involution_classes",
+    "involutions",
     "normalizer",
     "verify_centralizer_certificate",
     "verify_centralizer_is_normalizer",

@@ -6,7 +6,8 @@ an element it already holds that element's normal form.  The search also fills
 a step table (index, generator) -> index, after which centralizers,
 normalizers, conjugacy orbits and set-wise identity checks are pure index
 walks: multiplying by a known element costs one table lookup per letter of
-its word.
+its word.  In particular the involutions are the g with walk(g, word(g)) at
+the identity, found with no normal form.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
@@ -35,6 +36,10 @@ class EnumerationCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"group enumeration exceeded cap of {cap} elements")
         self.cap = cap
+
+
+class InfiniteGroupError(EnumerationCapExceeded):
+    """The group is infinite: its diagram is not a finite type, so no element is built."""
 
 
 class ElementSet:
@@ -114,9 +119,11 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     is the normal form of h (a prefix of a normal form is a normal form).
     New elements therefore take word(g) + (s,) as is, and are recognised by
     their orbit key.  Raises EnumerationCapExceeded as soon as more than `cap`
-    elements appear, which is the signal for infinite (or merely too large)
-    groups.
+    elements appear, and its subclass InfiniteGroupError before building any
+    element when the diagram is not of finite type.
     """
+    if not is_finite_parabolic(ctx, range(ctx.rank)):
+        raise InfiniteGroupError(cap)
     n = ctx.rank
     identity = ctx.identity()
     elements = [identity]
@@ -144,6 +151,11 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
             row[s] = j
             steps[j][s] = i  # (g s) s = g
     return ElementSet(ctx, elements, _steps=steps)
+
+
+def involutions(group: ElementSet) -> list[GroupElement]:
+    """The g in the (full) group with g g = 1, identity included, in group order."""
+    return [el for i, el in enumerate(group.elements) if group.walk(i, el.word) == 0]
 
 
 def centralizer(w: GroupElement, group: ElementSet) -> ElementSet:
@@ -223,9 +235,7 @@ def involution_classes(group: ElementSet) -> list[tuple[ElementSet, InvolutionCe
     group._require_full()
     ctx = group.context
     sort_key = {i: (len(el.word), el.word) for i, el in enumerate(group.elements)}
-    unassigned = {
-        i for i, el in enumerate(group.elements) if group.walk(i, el.word) == 0
-    }
+    unassigned = {group.index_of(el) for el in involutions(group)}
     gen_idx = [group._steps[0][s] for s in range(ctx.rank)]
     out = []
     while unassigned:

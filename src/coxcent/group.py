@@ -17,6 +17,11 @@ at a time.  No reflection automaton is used; the only primitive is the exact
 sign of a coordinate, read lazily so that a rescan after one peel step only
 evaluates the coordinates that step changed.
 
+Group identities need no normal form.  rho lies in the open fundamental
+chamber, so x = y iff x^-1(rho) = y^-1(rho), compared coefficient by
+coefficient; CoxeterContext.represents and descent_sets work on arbitrary,
+unreduced words this way.
+
 Elements are immutable values apart from the cached vector, which is filled
 in at most once with a value that depends only on the word; operations are
 pure functions of their inputs, safe to share between threads.
@@ -239,6 +244,38 @@ class CoxeterContext:
             if not 0 <= s < n:
                 raise ValueError(f"generator index {s} out of range 0..{n - 1}")
         return self._normal_form(word)
+
+    def represents(self, word, element: "GroupElement") -> bool:
+        """Whether the product of an arbitrary word is `element`, decided with no sign read.
+
+        rho lies in the open fundamental chamber, so its stabiliser is trivial
+        and x = y iff x^-1(rho) = y^-1(rho): an exact comparison of coefficient
+        tuples.  The word need not be reduced and is never normalised.
+        """
+        if element.context is not self:
+            raise ValueError("element from a different context")
+        return tuple(self._orbit(word[::-1])) == element.orbit_key()
+
+    def descent_sets(self, word, orbit=None) -> tuple[frozenset[int], frozenset[int]]:
+        """(D, N) for x the product of an arbitrary word, which is never normalised.
+
+        D is the right descent set of x, read as the signs of x^-1(rho); N holds
+        the s in D with x(alpha_s) = -alpha_s exactly.  Coordinate s of
+        x^-1(rho) is the height of x(alpha_s), so that forces it to be -1: the
+        column x(alpha_s) is computed only for descents passing this exact
+        screen.  Pass `orbit` = x^-1(rho) when it is already known
+        (GroupElement.orbit_key()).
+        """
+        v = self._orbit(word[::-1]) if orbit is None else orbit
+        descents = []
+        negated = []
+        for s in range(self.rank):
+            if v[s].sign() < 0:
+                descents.append(s)
+                alpha = self.simple_root(s).coords
+                if v[s] == -1 and self._act(word, alpha) == tuple(-c for c in alpha):
+                    negated.append(s)
+        return frozenset(descents), frozenset(negated)
 
     def greedy_longest(self, subset) -> "GroupElement":
         """Longest element of the standard parabolic on `subset`, which must be finite.

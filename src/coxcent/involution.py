@@ -10,6 +10,11 @@ s in D(w) \\ N(w) shortens w by exactly 2, so iterating produces a certificate
 always the least available index, which makes runs reproducible; no canonicity
 of the resulting subset I is claimed.
 
+Every group identity here (w^2 = 1, u w u^-1 = rho_I) is decided by exact
+equality of orbit vectors x^-1(rho) (CoxeterContext.represents), and the
+descent runs on the unreduced word s_k..s_1 w s_1..s_k: no intermediate
+conjugate is ever normalised, only the conjugator handed back.
+
 The certificate is what reduces a centralizer Z_W(w) to a conjugated parabolic
 normalizer: Z_W(w) = u^-1 N_W(W_I) u (verified on finite groups in .finite).
 """
@@ -23,15 +28,13 @@ from .group import CoxeterContext, GroupElement, word_to_string
 
 
 def is_involution(w: GroupElement) -> bool:
-    return (w * w).is_identity
+    """Whether w^2 = 1, i.e. w^-1 = w, by orbit-vector equality."""
+    return w.context.represents(w.word[::-1], w)
 
 
 def negated_simples(w: GroupElement) -> frozenset[int]:
     """Generators whose simple root is sent to its exact negative by w."""
-    ctx = w.context
-    return frozenset(
-        s for s in w.right_descents() if w.column(s) == -ctx.simple_root(s)
-    )
+    return w.context.descent_sets(w.word, w.orbit_key())[1]
 
 
 def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
@@ -86,14 +89,18 @@ class InvolutionCertificate:
         return longest_element(self.conjugator.context, self.subset)
 
     def verify(self, w: GroupElement) -> bool:
-        """Recheck both certificate properties from scratch against w."""
+        """Recheck both certificate properties from scratch against w.
+
+        The conjugation u w u^-1 = rho_I is decided exactly, by comparing the
+        orbit vector of the word u + w + u^-1 with that of rho_I.
+        """
         ctx = self.conjugator.context
         if w.context is not ctx:
             return False
         if not is_minus_one_type(ctx, self.subset):
             return False
-        u = self.conjugator
-        return u * w * u.inverse() == self.target()
+        u = self.conjugator.word
+        return ctx.represents(u + w.word + u[::-1], self.target())
 
 
 def involution_certificate(w: GroupElement) -> InvolutionCertificate:
@@ -105,6 +112,10 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
     the longest element of the (-1)-type parabolic on that set.  The number of
     steps is therefore at most length(w)/2.  Rejects non-involutions, and
     accepts the identity (empty subset, trivial conjugator).
+
+    The running conjugate is kept as the unreduced word s_k..s_1 w s_1..s_k.
+    A conjugation changes the length by at most 2, so reaching rho_I with
+    length(rho_I) = length(w) - 2k proves that every step shortened by 2.
     """
     ctx = w.context
     if not is_involution(w):
@@ -113,23 +124,17 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
             f"not an involution: square has normal form '{word_to_string(square.word)}'"
         )
     steps = []
-    cur = w
+    word, orbit = w.word, w.orbit_key()
     while True:
-        descents = cur.right_descents()
-        negated = negated_simples(cur)
+        descents, negated = ctx.descent_sets(word, orbit)
         if descents == negated:
             break
         s = min(descents - negated)
-        gen = ctx.generator(s)
-        conjugated = gen * cur * gen
-        if conjugated.length != cur.length - 2:
-            raise AssertionError("descent step failed to shorten by 2")
         steps.append(s)
-        cur = conjugated
-    subset = frozenset(negated)
-    conj = ctx.identity()
-    for s in steps:
-        conj = ctx.generator(s) * conj
-    if cur != longest_element(ctx, subset):
-        raise AssertionError("descended involution is not the parabolic longest element")
-    return InvolutionCertificate(subset=subset, conjugator=conj, steps=tuple(steps))
+        word, orbit = (s,) + word + (s,), None
+    rho = longest_element(ctx, negated)
+    if not (ctx.represents(word, rho) and rho.length == w.length - 2 * len(steps)):
+        raise AssertionError("descent did not reach the parabolic longest element by 2 per step")
+    return InvolutionCertificate(
+        subset=negated, conjugator=ctx.element(steps[::-1]), steps=tuple(steps)
+    )

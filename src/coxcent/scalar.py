@@ -17,9 +17,16 @@ satisfy D_i(2cos x) = 2cos(ix)).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, pi
+from math import cos, isqrt, pi
 
 _ZERO = Fraction(0)
+
+# Largest field degree a FieldContext accepts.  Labels (7, 11, 13) need degree
+# 360, where one 20-letter word takes minutes; I2(251), degree 125, is fast.
+MAX_FIELD_DEGREE = 128
+# euler_phi factors by trial division, so it is not asked about larger orders;
+# since phi(n) >= sqrt(n/2), their degree is at least sqrt(N)/2, far over the limit.
+_FACTORED_ORDER_LIMIT = 1 << 32
 
 
 def _norm(value) -> "int | Fraction":
@@ -133,13 +140,23 @@ def _poly_sign_at(poly, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+class FieldDegreeError(ValueError):
+    """The field Q(2cos(pi/N)) has a degree above MAX_FIELD_DEGREE; nothing was built."""
+
+    def __init__(self, order: int, degree):
+        super().__init__(
+            f"field Q(2cos(pi/{order})) has degree {degree}, above the limit of {MAX_FIELD_DEGREE}"
+        )
+
+
 class FieldContext:
     """The field Q(theta_N) shared by all scalars of one Coxeter system.
 
     Immutable after construction, except that the cached rational enclosure of
     theta may be narrowed; narrowing keeps every previously visible enclosure
     valid, so concurrent readers are never wrong (the interval is swapped in
-    as one tuple).
+    as one tuple).  Orders whose degree phi(2N)/2 exceeds MAX_FIELD_DEGREE are
+    rejected with FieldDegreeError before any polynomial is built.
     """
 
     __slots__ = (
@@ -148,6 +165,10 @@ class FieldContext:
     )
 
     def __init__(self, order: int):
+        if order > _FACTORED_ORDER_LIMIT:
+            raise FieldDegreeError(order, f"at least {isqrt(order) // 2}")
+        if euler_phi(2 * order) // 2 > MAX_FIELD_DEGREE:
+            raise FieldDegreeError(order, euler_phi(2 * order) // 2)
         self.order = order
         self.min_poly = two_cos_minimal_poly(order)
         d = len(self.min_poly) - 1

@@ -154,6 +154,24 @@ def test_matrix_file_rejects_non_integers(tmp_path, doc, shown):
     assert shown in proc.stderr
 
 
+def test_type_with_field_degree_over_limit_is_usage_error():
+    # Q(2cos(pi/1000003)) has degree 500001; building it used to hang
+    proc = run("reduce", "--type", "I2(1000003)", "--word", "1 2 1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "degree 500001" in proc.stderr
+
+
+def test_matrix_file_with_field_degree_over_limit(tmp_path):
+    # lcm(7, 11, 13) = 1001: the field would have degree 360
+    path = tmp_path / "deg360.json"
+    path.write_text(json.dumps({"rank": 3, "m": [[1, 7, 11], [7, 1, 13], [11, 13, 1]]}))
+    proc = run("reduce", "--matrix", str(path), "--word", "1 2 3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "degree 360" in proc.stderr
+
+
 def test_json_flag_compact_and_deterministic():
     args = ("verify", "--type", "B3", "--suite", "main", "--json")
     first = run(*args)

@@ -7,9 +7,11 @@ import pytest
 from coxcent import (
     CoxeterContext,
     EnumerationCapExceeded,
+    InfiniteGroupError,
     centralizer,
     enumerate_group,
     involution_classes,
+    involutions,
     longest_element,
     normalizer,
     verify_centralizer_certificate,
@@ -62,6 +64,27 @@ def test_enumeration_cap_exceeded_affine():
     ctx = CoxeterContext.from_name("Atilde2")
     with pytest.raises(EnumerationCapExceeded):
         enumerate_group(ctx, cap=10000)
+
+
+def test_infinite_group_rejected_before_enumeration():
+    ctx = CoxeterContext.from_name("Atilde2")
+    with pytest.raises(InfiniteGroupError, match="cap of 10000 elements") as info:
+        enumerate_group(ctx, cap=10000)
+    assert info.value.cap == 10000
+
+
+def test_finite_group_over_cap_is_not_reported_infinite():
+    ctx = CoxeterContext.from_name("A5")  # 720 elements
+    with pytest.raises(EnumerationCapExceeded) as info:
+        enumerate_group(ctx, cap=100)
+    assert type(info.value) is EnumerationCapExceeded
+    assert info.value.cap == 100
+
+
+def test_involutions_match_normal_form_filter(group_of):
+    for name in ("A3", "B3", "H3"):
+        group = group_of(name)
+        assert involutions(group) == [w for w in group if (w * w).is_identity]
 
 
 def test_walk_and_inverse_index(group_of):

@@ -7,7 +7,9 @@ import mpmath
 import pytest
 
 from coxcent.scalar import (
+    MAX_FIELD_DEGREE,
     FieldContext,
+    FieldDegreeError,
     cyclotomic_polynomial,
     dickson_polynomials,
     euler_phi,
@@ -75,6 +77,27 @@ def test_minimal_polynomial_numeric_root_and_degree(order):
     for c in reversed(poly):
         acc = acc * x + c
     assert abs(acc) < mpmath.mpf(10) ** -40
+
+
+def test_minimal_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for order in range(1, 61):
+        expected = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / order), x)
+        coeffs = sympy.Poly(expected, x).all_coeffs()
+        assert two_cos_minimal_poly(order) == tuple(int(c) for c in reversed(coeffs)), order
+
+
+def test_field_degree_guard():
+    # I2(251) has degree 125 and is built; 1001 = lcm(7, 11, 13) needs 360
+    assert FieldContext(251).degree == 125 <= MAX_FIELD_DEGREE
+    with pytest.raises(FieldDegreeError, match="degree 360"):
+        FieldContext(1001)
+    with pytest.raises(FieldDegreeError, match="degree 500001"):
+        FieldContext(1000003)
+    # too large to factor quickly: rejected on the bound phi(n) >= sqrt(n/2)
+    with pytest.raises(FieldDegreeError, match="degree at least 500000000"):
+        FieldContext(10**18 + 3)
 
 
 def test_field_from_matrix_orders():
