@@ -28,6 +28,7 @@ from .finite import (
     DEFAULT_ENUMERATION_CAP,
     ElementSet,
     EnumerationCapExceeded,
+    FiniteGroup,
     InfiniteGroupError,
     centralizer,
     enumerate_group,
@@ -36,6 +37,7 @@ from .finite import (
     normalizer,
     verify_centralizer_certificate,
     verify_centralizer_is_normalizer,
+    verify_suite,
 )
 from . import catalog
 
@@ -59,6 +61,7 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "ElementSet",
     "EnumerationCapExceeded",
+    "FiniteGroup",
     "InfiniteGroupError",
     "centralizer",
     "enumerate_group",
@@ -67,5 +70,6 @@ __all__ = [
     "normalizer",
     "verify_centralizer_certificate",
     "verify_centralizer_is_normalizer",
+    "verify_suite",
     "catalog",
 ]

@@ -22,14 +22,12 @@ import sys
 from .catalog import matrix_for_name
 from .finite import (
     DEFAULT_ENUMERATION_CAP,
+    SUITES,
     EnumerationCapExceeded,
     centralizer,
     conjugated_normalizer,
     enumerate_group,
-    involution_classes,
-    involutions,
-    verify_centralizer_certificate,
-    verify_centralizer_is_normalizer,
+    verify_suite,
 )
 from .group import CoxeterContext, word_from_string, word_to_string
 from .involution import (
@@ -38,8 +36,6 @@ from .involution import (
     is_minus_one_type,
     longest_element,
 )
-
-_SUITES = ("prop1", "prop2", "main", "classes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--word", required=True, metavar="INDICES",
                            help="whitespace-separated 1-based generator indices")
         if needs_suite:
-            p.add_argument("--suite", required=True, choices=_SUITES)
+            p.add_argument("--suite", required=True, choices=SUITES)
         p.add_argument("--max-order", type=int, default=DEFAULT_ENUMERATION_CAP,
                        metavar="N", help="enumeration cap (default %(default)s)")
         p.add_argument("--json", action="store_true",
@@ -120,6 +116,14 @@ def _emit(doc, compact: bool) -> None:
         print(json.dumps(doc, indent=2))
 
 
+def _not_an_involution(system, el) -> tuple[dict, int]:
+    return {
+        "system": system,
+        "error": "not an involution",
+        "square_normal_form": word_to_string((el * el).word),
+    }, 1
+
+
 def cmd_reduce(ctx, system, word) -> tuple[dict, int]:
     el = ctx.element(word)
     doc = {
@@ -136,12 +140,7 @@ def cmd_reduce(ctx, system, word) -> tuple[dict, int]:
 def cmd_involution_nf(ctx, system, word) -> tuple[dict, int]:
     el = ctx.element(word)
     if not is_involution(el):
-        square = el * el
-        return {
-            "system": system,
-            "error": "not an involution",
-            "square_normal_form": word_to_string(square.word),
-        }, 1
+        return _not_an_involution(system, el)
     cert = involution_certificate(el)
     u = cert.conjugator
     rho = longest_element(ctx, cert.subset)
@@ -164,12 +163,7 @@ def cmd_involution_nf(ctx, system, word) -> tuple[dict, int]:
 def cmd_centralizer(ctx, system, word, cap) -> tuple[dict, int]:
     el = ctx.element(word)
     if not is_involution(el):
-        square = el * el
-        return {
-            "system": system,
-            "error": "not an involution",
-            "square_normal_form": word_to_string(square.word),
-        }, 1
+        return _not_an_involution(system, el)
     cert = involution_certificate(el)
     if not cert.verify(el):
         return {"system": system, "error": "certificate failed re-verification"}, 1
@@ -198,71 +192,13 @@ def cmd_centralizer(ctx, system, word, cap) -> tuple[dict, int]:
     return doc, 0 if match else 1
 
 
-def _suite_prop1(ctx, group):
-    failures = []
-    members = involutions(group)
-    for el in members:
-        cert = involution_certificate(el)
-        if not cert.verify(el):
-            failures.append({"instance": word_to_string(el.word),
-                             "reason": "certificate failed verification"})
-    return len(members), failures
-
-def _suite_prop2(ctx, group):
-    failures = []
-    subsets = []
-    n = ctx.rank
-    for mask in range(1 << n):
-        subset = frozenset(s for s in range(n) if mask >> s & 1)
-        if is_minus_one_type(ctx, subset):
-            subsets.append(subset)
-    for subset in sorted(subsets, key=lambda x: (len(x), sorted(x))):
-        if not verify_centralizer_is_normalizer(subset, group):
-            failures.append({"instance": _subset_out(subset),
-                             "reason": "centralizer of longest element != normalizer"})
-    return len(subsets), failures
-
-def _suite_main(ctx, group):
-    failures = []
-    members = involutions(group)
-    for el in members:
-        if not verify_centralizer_certificate(el, group):
-            failures.append({"instance": word_to_string(el.word),
-                             "reason": "centralizer != conjugated normalizer"})
-    return len(members), failures
-
-def _suite_classes(ctx, group):
-    failures = []
-    classes = involution_classes(group)
-    seen = set()
-    for members, cert in classes:
-        words = members.words()
-        if words & seen:
-            failures.append({"instance": word_to_string(members.elements[0].word),
-                             "reason": "classes overlap"})
-        seen |= words
-        rho = longest_element(ctx, cert.subset)
-        if rho not in members:
-            failures.append({"instance": word_to_string(members.elements[0].word),
-                             "reason": "class misses its certificate's longest element"})
-    if sum(len(c) for c, _ in classes) != len(involutions(group)):
-        failures.append({"instance": "partition", "reason": "classes do not cover all involutions"})
-    return len(classes), failures
-
-
 def cmd_verify(ctx, system, suite, cap) -> tuple[dict, int]:
     try:
         group = enumerate_group(ctx, cap=cap)
     except EnumerationCapExceeded as exc:
         return {"system": system, "suite": suite,
                 "error": f"enumeration cap of {exc.cap} exceeded"}, 1
-    runner = {
-        "prop1": _suite_prop1,
-        "prop2": _suite_prop2,
-        "main": _suite_main,
-        "classes": _suite_classes,
-    }[suite]
-    checked, failures = runner(ctx, group)
+    checked, failures = verify_suite(suite, group)
     doc = {
         "system": system,
         "suite": suite,

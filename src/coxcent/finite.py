@@ -2,12 +2,13 @@
 
 Full enumeration is a ShortLex breadth-first search over right multiplication
 by generators; it never multiplies or peels, because the first time it reaches
-an element it already holds that element's normal form.  The search also fills
-a step table (index, generator) -> index, after which centralizers,
-normalizers, conjugacy orbits and set-wise identity checks are pure index
-walks: multiplying by a known element costs one table lookup per letter of
-its word.  In particular the involutions are the g with walk(g, word(g)) at
-the identity, found with no normal form.
+an element it already holds that element's normal form.  The result, a
+FiniteGroup, lists the elements in ShortLex order and alone carries the step
+table (index, generator) -> index, after which centralizers, normalizers,
+conjugacy orbits and set-wise identity checks are pure index walks:
+multiplying by a known element costs one table lookup per letter of its word.  In particular the involutions are the g with walk(g, word(g)) at
+the identity, found with no normal form.  Sorted indices are ShortLex order,
+so the plain ElementSets the oracles return need no sort key.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
@@ -18,12 +19,14 @@ Z_W(w) = u^-1 N_W(W_I) u, and that Z_W(rho_I) = N_W(W_I) for every
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
-from .group import CoxeterContext, GroupElement, shortlex_key
+from .group import CoxeterContext, GroupElement, word_to_string
 from .involution import (
     InvolutionCertificate,
     involution_certificate,
     is_finite_parabolic,
+    is_minus_one_type,
     longest_element,
 )
 
@@ -45,19 +48,16 @@ class InfiniteGroupError(EnumerationCapExceeded):
 class ElementSet:
     """A duplicate-free collection of group elements keyed by normal-form word.
 
-    Instances returned by enumerate_group represent the full group and carry
-    the step table needed by the oracles; subsets (centralizers, normalizers,
-    conjugacy classes) are plain collections, stored in ShortLex order.
+    The oracles return centralizers, normalizers and conjugacy classes as
+    plain ElementSets, members in ShortLex order; only a FiniteGroup walks.
     """
 
-    def __init__(self, context: CoxeterContext, elements, _steps=None):
+    def __init__(self, context: CoxeterContext, elements):
         self.context = context
         self.elements = tuple(elements)
         self._index = {el.word: i for i, el in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
-        self._steps = _steps
-        self._inverse_idx = None
 
     def __len__(self):
         return len(self.elements)
@@ -70,18 +70,8 @@ class ElementSet:
             return False
         return element.word in self._index
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     def words(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self._index)
-
-    # --- index machinery, available on full groups only ---
-
-    def _require_full(self):
-        if self._steps is None:
-            raise ValueError("operation requires the fully enumerated group")
 
     def index_of(self, element: GroupElement) -> int:
         if element.context is not self.context:
@@ -91,16 +81,25 @@ class ElementSet:
         except KeyError:
             raise ValueError(f"element {element!r} not in this set") from None
 
+
+class FiniteGroup(ElementSet):
+    """The whole group from enumerate_group: index order is ShortLex order, and
+    the step table gives the index of elements[i] * s."""
+
+    def __init__(self, context: CoxeterContext, elements, steps):
+        super().__init__(context, elements)
+        self._steps = steps
+        self._inverse_idx = None
+        self._normalizer_memo: dict[frozenset, ElementSet] = {}
+
     def walk(self, start: int, word) -> int:
         """Index of elements[start] * (product of the word), by table lookups."""
-        self._require_full()
         steps = self._steps
         for s in word:
             start = steps[start][s]
         return start
 
     def inverse_index(self, i: int) -> int:
-        self._require_full()
         if self._inverse_idx is None:
             inv = [0] * len(self.elements)
             for j, el in enumerate(self.elements):
@@ -109,18 +108,20 @@ class ElementSet:
         return self._inverse_idx[i]
 
 
-def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> ElementSet:
+def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> FiniteGroup:
     """All elements of a finite group by ShortLex BFS from the identity.
 
-    Invariant: the queue holds elements in ShortLex order of their words, and
-    each is expanded by generators in increasing order.  So the first pair
-    (g, s) that reaches a new element h = g*s has the ShortLex-least word
-    word(g) + (s,) among all ways to reach h from the previous layer, which
-    is the normal form of h (a prefix of a normal form is a normal form).
-    New elements therefore take word(g) + (s,) as is, and are recognised by
-    their orbit key.  Raises EnumerationCapExceeded as soon as more than `cap`
-    elements appear, and its subclass InfiniteGroupError before building any
-    element when the diagram is not of finite type.
+    Invariant: index order is ShortLex order.  Elements are expanded in index
+    order by generators in increasing order, so layer k+1 is appended in
+    (parent index, letter) order, which is ShortLex if layer k is.  So the
+    first pair (g, s) that reaches a new element h = g*s has the
+    ShortLex-least word word(g) + (s,) among all ways to reach h from the
+    previous layer, which is the normal form of h (a prefix of a normal form
+    is a normal form).  New elements therefore take word(g) + (s,) as is,
+    and are recognised by their orbit key.  Raises EnumerationCapExceeded as
+    soon as more than `cap` elements appear, and its subclass
+    InfiniteGroupError before building any element when the diagram is not
+    of finite type.
     """
     if not is_finite_parabolic(ctx, range(ctx.rank)):
         raise InfiniteGroupError(cap)
@@ -150,17 +151,16 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
                 queue.append(j)
             row[s] = j
             steps[j][s] = i  # (g s) s = g
-    return ElementSet(ctx, elements, _steps=steps)
+    return FiniteGroup(ctx, elements, steps)
 
 
-def involutions(group: ElementSet) -> list[GroupElement]:
-    """The g in the (full) group with g g = 1, identity included, in group order."""
+def involutions(group: FiniteGroup) -> list[GroupElement]:
+    """The g in the group with g g = 1, identity included, in ShortLex order."""
     return [el for i, el in enumerate(group.elements) if group.walk(i, el.word) == 0]
 
 
-def centralizer(w: GroupElement, group: ElementSet) -> ElementSet:
-    """All g in the (full) group with g w = w g."""
-    group._require_full()
+def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
+    """All g in the group with g w = w g, in ShortLex order."""
     k = group.index_of(w)
     word_w = w.word
     members = [
@@ -168,19 +168,21 @@ def centralizer(w: GroupElement, group: ElementSet) -> ElementSet:
         for i, el in enumerate(group.elements)
         if group.walk(i, word_w) == group.walk(k, el.word)
     ]
-    members.sort(key=shortlex_key)
     return ElementSet(group.context, members)
 
 
-def normalizer(subset, group: ElementSet) -> ElementSet:
+def normalizer(subset, group: FiniteGroup) -> ElementSet:
     """All g with g s g^-1 in the standard parabolic on `subset`, for every s there.
 
     Membership in the parabolic is tested on the normal form: an element lies
-    in W_I iff its ShortLex word uses only letters of I.
+    in W_I iff its ShortLex word uses only letters of I.  Built once per subset.
     """
-    group._require_full()
-    ctx = group.context
     subset = frozenset(subset)
+    memo = group._normalizer_memo
+    found = memo.get(subset)
+    if found is not None:
+        return found
+    ctx = group.context
     if not is_finite_parabolic(ctx, subset):
         raise ValueError("normalizer oracle requires a finite parabolic")
     members = []
@@ -195,51 +197,47 @@ def normalizer(subset, group: ElementSet) -> ElementSet:
                 break
         if ok:
             members.append(el)
-    members.sort(key=shortlex_key)
-    return ElementSet(ctx, members)
+    memo[subset] = found = ElementSet(ctx, members)
+    return found
 
 
-def verify_centralizer_is_normalizer(subset, group: ElementSet) -> bool:
+def verify_centralizer_is_normalizer(subset, group: FiniteGroup) -> bool:
     """Set equality Z_W(rho_I) = N_W(W_I) for a (-1)-type subset I."""
     rho = longest_element(group.context, subset)
     return centralizer(rho, group).words() == normalizer(subset, group).words()
 
 
-def conjugated_normalizer(cert: InvolutionCertificate, group: ElementSet) -> ElementSet:
+def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> ElementSet:
     """u^-1 N_W(W_I) u for the certificate (I, u), by index walks, in ShortLex order."""
-    group._require_full()
     u_word = cert.conjugator.word
     uinv_idx = group.inverse_index(group.index_of(cert.conjugator))
-    members = [
-        group.elements[group.walk(group.walk(uinv_idx, g.word), u_word)]
+    members = sorted(
+        group.walk(group.walk(uinv_idx, g.word), u_word)
         for g in normalizer(cert.subset, group)
-    ]
-    members.sort(key=shortlex_key)
-    return ElementSet(group.context, members)
+    )
+    return ElementSet(group.context, (group.elements[i] for i in members))
 
 
-def verify_centralizer_certificate(w: GroupElement, group: ElementSet) -> bool:
+def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
     """Set equality Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w."""
     cert = involution_certificate(w)
     return conjugated_normalizer(cert, group).words() == centralizer(w, group).words()
 
 
-def involution_classes(group: ElementSet) -> list[tuple[ElementSet, InvolutionCertificate]]:
+def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
     """Conjugacy classes of involutions (identity included), with certificates.
 
     Classes are orbits under conjugation by generators; each is listed with the
-    certificate of its minimal-length (then ShortLex-least) representative, and
+    certificate of its ShortLex-least (so minimal-length) representative, and
     is checked to contain the longest element named by that certificate.
-    Classes come back sorted by their representative.
+    Classes come back sorted by their representative, members in ShortLex order.
     """
-    group._require_full()
     ctx = group.context
-    sort_key = {i: (len(el.word), el.word) for i, el in enumerate(group.elements)}
     unassigned = {group.index_of(el) for el in involutions(group)}
     gen_idx = [group._steps[0][s] for s in range(ctx.rank)]
     out = []
     while unassigned:
-        rep = min(unassigned, key=sort_key.__getitem__)
+        rep = min(unassigned)
         orbit = {rep}
         frontier = [rep]
         while frontier:
@@ -255,6 +253,78 @@ def involution_classes(group: ElementSet) -> list[tuple[ElementSet, InvolutionCe
         rho_idx = group.index_of(longest_element(ctx, cert.subset))
         if rho_idx not in orbit:
             raise AssertionError("class does not contain its certificate's longest element")
-        members = sorted((group.elements[i] for i in orbit), key=shortlex_key)
-        out.append((ElementSet(ctx, members), cert))
+        out.append((ElementSet(ctx, (group.elements[i] for i in sorted(orbit))), cert))
     return out
+
+
+def _suite_prop1(group):
+    failures = []
+    members = involutions(group)
+    for el in members:
+        cert = involution_certificate(el)
+        if not cert.verify(el):
+            failures.append({"instance": word_to_string(el.word),
+                             "reason": "certificate failed verification"})
+    return len(members), failures
+
+
+def _suite_prop2(group):
+    ctx = group.context
+    failures = []
+    # by size, then lexicographically: the order failures are reported in
+    subsets = [c for k in range(ctx.rank + 1) for c in combinations(range(ctx.rank), k)
+               if is_minus_one_type(ctx, c)]
+    for subset in subsets:
+        if not verify_centralizer_is_normalizer(subset, group):
+            failures.append({"instance": [s + 1 for s in subset],
+                             "reason": "centralizer of longest element != normalizer"})
+    return len(subsets), failures
+
+
+def _suite_main(group):
+    failures = []
+    members = involutions(group)
+    for el in members:
+        if not verify_centralizer_certificate(el, group):
+            failures.append({"instance": word_to_string(el.word),
+                             "reason": "centralizer != conjugated normalizer"})
+    return len(members), failures
+
+
+def _suite_classes(group):
+    failures = []
+    classes = involution_classes(group)
+    seen = set()
+    for members, cert in classes:
+        words = members.words()
+        if words & seen:
+            failures.append({"instance": word_to_string(members.elements[0].word),
+                             "reason": "classes overlap"})
+        seen |= words
+        rho = longest_element(group.context, cert.subset)
+        if rho not in members:
+            failures.append({"instance": word_to_string(members.elements[0].word),
+                             "reason": "class misses its certificate's longest element"})
+    if sum(len(c) for c, _ in classes) != len(involutions(group)):
+        failures.append({"instance": "partition", "reason": "classes do not cover all involutions"})
+    return len(classes), failures
+
+
+_SUITE_RUNNERS = {
+    "prop1": _suite_prop1,
+    "prop2": _suite_prop2,
+    "main": _suite_main,
+    "classes": _suite_classes,
+}
+SUITES = tuple(_SUITE_RUNNERS)
+
+
+def verify_suite(name: str, group: FiniteGroup) -> tuple[int, list[dict]]:
+    """(instances_checked, failures) of the suite `name`, one of SUITES, over the group.
+
+    prop1: every involution's certificate verifies.  prop2: Z_W(rho_I) =
+    N_W(W_I) for every (-1)-type I.  main: Z_W(w) = u^-1 N_W(W_I) u for every
+    involution w.  classes: the involution classes partition the involutions
+    and each holds its certificate's rho_I.  Failures name instances 1-based.
+    """
+    return _SUITE_RUNNERS[name](group)

@@ -77,10 +77,6 @@ def word_to_string(word) -> str:
     return " ".join(str(s + 1) for s in word)
 
 
-def shortlex_key(element: "GroupElement"):
-    return (len(element.word), element.word)
-
-
 class Root:
     """A coordinate vector over the simple-root basis."""
 

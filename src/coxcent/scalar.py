@@ -260,28 +260,18 @@ class FieldContext:
         return AlgebraicScalar(self, tuple(coeffs))
 
     def from_coeffs(self, coeffs) -> "AlgebraicScalar":
-        """Scalar from power-basis coefficients; degrees >= d are reduced."""
+        """Scalar from power-basis coefficients of any length; degrees >= d are
+        eliminated from the top down with the monic minimal polynomial."""
         work = [_norm(c) for c in coeffs]
         d = self.degree
-        if len(work) > 2 * d - 1:
-            # repeated single-step reduction of the top coefficient
-            while len(work) > max(d, 1):
-                top = work.pop()
-                if top:
-                    k = len(work)  # degree being eliminated
-                    for t, mc in enumerate(self.min_poly[:d]):
-                        work[k - d + t] -= top * mc
-                    # may reintroduce the same degree only below k
-            work += [0] * (d - len(work))
-            return AlgebraicScalar(self, tuple(work[:d]))
-        out = work[:d] + [0] * (d - min(len(work), d))
-        for k in range(d, len(work)):
-            c = work[k]
-            if c:
-                red = self._reduction[k - d]
-                for t in range(d):
-                    out[t] += c * red[t]
-        return AlgebraicScalar(self, tuple(out))
+        while len(work) > d:
+            top = work.pop()
+            if top:
+                k = len(work)  # degree being eliminated
+                for t, mc in enumerate(self.min_poly[:d]):
+                    work[k - d + t] -= top * mc
+        work += [0] * (d - len(work))
+        return AlgebraicScalar(self, tuple(work))
 
     def two_cos(self, label: int) -> "AlgebraicScalar":
         """The exact value 2cos(pi/m) for bond label m; label 0 encodes m = infinity."""

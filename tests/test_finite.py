@@ -10,14 +10,17 @@ from coxcent import (
     InfiniteGroupError,
     centralizer,
     enumerate_group,
+    involution_certificate,
     involution_classes,
     involutions,
+    is_minus_one_type,
     longest_element,
     normalizer,
     verify_centralizer_certificate,
     verify_centralizer_is_normalizer,
     word_from_string,
 )
+from coxcent.finite import conjugated_normalizer
 
 
 def el(ctx, text):
@@ -224,5 +227,36 @@ def test_subset_oracles_reject_foreign_elements(group_of, context_of):
     with pytest.raises(ValueError):
         centralizer(other.generator(0), group)
     z = centralizer(group.context.generator(0), group)
-    with pytest.raises(ValueError):
+    with pytest.raises(AttributeError):
         z.walk(0, (0,))  # subsets carry no step table
+
+
+def _is_shortlex(members):
+    keys = [(len(w.word), w.word) for w in members]
+    return keys == sorted(keys)
+
+
+def test_index_order_is_shortlex(group_of, context_of):
+    # the oracles return members in index order (or sorted indices) with no
+    # sort key, so they rely on enumeration producing ShortLex order
+    for name in ("A5", "B4", "D5", "H3", "F4", "I2(8)"):
+        ctx, group = context_of(name), group_of(name)
+        assert _is_shortlex(group)
+        minus_one = [frozenset(c) for c in
+                     ((0,), tuple(range(ctx.rank)), (0, ctx.rank - 1))
+                     if is_minus_one_type(ctx, c)]
+        for subset in minus_one:
+            assert _is_shortlex(normalizer(subset, group))
+        for w in involutions(group)[1::9]:
+            assert _is_shortlex(centralizer(w, group))
+            assert _is_shortlex(conjugated_normalizer(involution_certificate(w), group))
+        for members, _cert in involution_classes(group):
+            assert _is_shortlex(members)
+
+
+def test_normalizer_built_once_per_subset(context_of):
+    group = enumerate_group(context_of("B3"))
+    first = normalizer([0, 2], group)
+    again = normalizer((2, 0), group)
+    assert again.words() == first.words()
+    assert again is first
