@@ -1,8 +1,13 @@
 """Coxeter system computations: root action, ShortLex words, descents, inversions.
 
 Conventions.  Generators are 0-based ints internally (1-based only in I/O).
+The group acts through a Cartan matrix (CoxeterContext.action_coeff, chosen
+there with the smallest field that holds it): integers for labels 2, 3, 4, 6
+and infinity, so most systems live over Q, where every vector below is a
+tuple of plain ints; only other labels bring in AlgebraicScalar coordinates.
 A root is its coordinate vector over the simple-root basis; every root hit by
 group elements from the basis is entirely nonnegative or entirely nonpositive.
+Every sign is read through _sign, whichever kind of number it is given.
 
 A group element is its ShortLex reduced word plus, once asked for, the vector
 w^-1(rho) in weight coordinates, where rho = (1, ..., 1).  Coordinate t of
@@ -29,9 +34,27 @@ pure functions of their inputs, safe to share between threads.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .scalar import AlgebraicScalar, FieldContext
 
 INFINITE_BOND = 0  # external encoding of m_st = infinity
+
+# 2cos(pi/k) for the k where it is rational: the bond orders of labels 1 to 4 and 6
+_RATIONAL_TWO_COS = {1: -2, 2: 0, 3: 1}
+
+
+def _bond_order(m: int) -> int:
+    """The k whose 2cos(pi/k) label m needs: 4cos^2(pi/m) is 2cos(pi/m)^2 for odd m,
+    and 2 + 2cos(pi/k) with k = m/2 for even m."""
+    return m if m % 2 else m // 2
+
+
+def _sign(x) -> int:
+    """Exact sign of a coordinate: a plain int (field degree 1) or an AlgebraicScalar."""
+    if isinstance(x, AlgebraicScalar):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
 class MixedSignRootError(ArithmeticError):
@@ -82,7 +105,7 @@ class Root:
 
     __slots__ = ("context", "coords")
 
-    def __init__(self, context: "CoxeterContext", coords: tuple[AlgebraicScalar, ...]):
+    def __init__(self, context: "CoxeterContext", coords: tuple):
         self.context = context
         self.coords = coords
 
@@ -94,7 +117,7 @@ class Root:
         """
         pos = neg = False
         for c in self.coords:
-            s = c.sign()
+            s = _sign(c)
             if s > 0:
                 pos = True
             elif s < 0:
@@ -119,37 +142,65 @@ class Root:
 
 
 class CoxeterContext:
-    """A Coxeter system: matrix, shared scalar field, and reflection coefficients.
+    """A Coxeter system: matrix, scalar field, and the Cartan matrix that realizes it.
 
-    action_coeff[s][t] = 2cos(pi/m_st) exactly; on roots the reflection acts by
-    (s*g)_t = g_t for t != s and (s*g)_s = -g_s + sum_t action_coeff[s][t]*g_t,
-    on weight coordinates by (s*v)_s = -v_s and (s*v)_t = v_t + action_coeff[s][t]*v_s.
+    action_coeff[s][t] is the Cartan entry a_st, with s(alpha_t) = alpha_t + a_st*alpha_s.
+    On roots the reflection acts by (s*g)_t = g_t for t != s and
+    (s*g)_s = -g_s + sum_t a_st*g_t; on weight coordinates, the contragredient,
+    by (s*v)_s = -v_s and (s*v)_t = v_t + a_st*v_s, with the same index.
+
+    Any entries with a_st*a_ts = 4cos^2(pi/m_st), 4 for m_st = infinity, and
+    a_st = 0 iff a_ts = 0, give a faithful realization with the same Tits cone
+    (Vinberg 1971), so words, descents and certificates do not depend on the
+    choice.  The one taken is the smallest exact one: labels 2, 3, 4, 6 and
+    infinity take the integer pairs (0, 0), (1, 1), (2, 1), (3, 1) and (2, 2);
+    any other odd m takes 2cos(pi/m) on both sides, any other even m takes
+    2 + 2cos(2pi/m) for s < t and 1 for s > t.  The field is Q(2cos(pi/N)), N
+    the lcm over those other labels of m (odd) or m/2 (even), and N = 1 when
+    there are none.  At field degree 1 every entry and every root or orbit
+    vector holds plain ints; only degree 2 and up use AlgebraicScalar.
     Immutable and shareable; the longest-element memo only ever gains entries.
     """
 
-    def __init__(self, matrix, field: FieldContext | None = None):
+    def __init__(self, matrix):
         self.matrix = validate_coxeter_matrix(matrix)
-        self.rank = len(self.matrix)
-        self.field = field if field is not None else FieldContext.from_coxeter_matrix(self.matrix)
-        n = self.rank
+        self.rank = n = len(self.matrix)
+        order = 1
+        for row in self.matrix:
+            for m in row:
+                k = _bond_order(m)
+                if m != INFINITE_BOND and k not in _RATIONAL_TWO_COS:
+                    order = order * k // gcd(order, k)
+        field = self.field = FieldContext(order)
+        scalar = int if field.degree == 1 else field.rational
         coeff = []
         neighbors = []
         for s in range(n):
             row = []
             nbr = []
             for t in range(n):
-                if t == s:
-                    row.append(self.field.rational(2))  # unused on the diagonal
-                else:
-                    row.append(self.field.two_cos(self.matrix[s][t]))
-                    if self.matrix[s][t] != 2:
-                        nbr.append(t)
+                m = self.matrix[s][t]
+                if m == INFINITE_BOND:
+                    a = scalar(2)
+                elif m == 2:
+                    a = scalar(0)
+                else:  # the diagonal label 1 gives a_ss = 2cos(pi) = -2, unused
+                    k = _bond_order(m)
+                    c = _RATIONAL_TWO_COS.get(k)
+                    c = field.two_cos(k) if c is None else scalar(c)
+                    a = c if m % 2 else (2 + c if s < t else scalar(1))
+                row.append(a)
+                if t != s and m != 2:
+                    nbr.append(t)
             coeff.append(tuple(row))
             neighbors.append(tuple(nbr))
         self.action_coeff = tuple(coeff)
         self.neighbors = tuple(neighbors)
 
-        self._rho = (self.field.one,) * n
+        self._rho = (scalar(1),) * n
+        self._simple_roots = tuple(
+            tuple(scalar(int(t == s)) for t in range(n)) for s in range(n)
+        )
         self._identity = GroupElement(self, (), self._rho)
         self._generators = tuple(GroupElement(self, (s,)) for s in range(n))
         self._longest_memo: dict[frozenset, GroupElement] = {}
@@ -190,7 +241,7 @@ class CoxeterContext:
             for s in range(n):
                 sign = signs[s]
                 if sign is None:
-                    sign = signs[s] = v[s].sign()
+                    sign = signs[s] = _sign(v[s])
                 if sign < 0:
                     break
             else:
@@ -229,8 +280,7 @@ class CoxeterContext:
         return self._generators[s]
 
     def simple_root(self, s: int) -> Root:
-        field = self.field
-        return Root(self, tuple(field.one if t == s else field.zero for t in range(self.rank)))
+        return Root(self, self._simple_roots[s])
 
     def element(self, word) -> "GroupElement":
         """ShortLex normal form of an arbitrary generator sequence."""
@@ -266,9 +316,9 @@ class CoxeterContext:
         descents = []
         negated = []
         for s in range(self.rank):
-            if v[s].sign() < 0:
+            if _sign(v[s]) < 0:
                 descents.append(s)
-                alpha = self.simple_root(s).coords
+                alpha = self._simple_roots[s]
                 if v[s] == -1 and self._act(word, alpha) == tuple(-c for c in alpha):
                     negated.append(s)
         return frozenset(descents), frozenset(negated)
@@ -285,7 +335,7 @@ class CoxeterContext:
         gens = sorted(subset)
         v = list(self._rho)
         while True:
-            s = next((t for t in gens if v[t].sign() > 0), None)
+            s = next((t for t in gens if _sign(v[t]) > 0), None)
             if s is None:
                 return self._peel(v)
             self._reflect_weights(v, s)
@@ -335,7 +385,7 @@ class GroupElement:
 
     def column(self, t: int) -> Root:
         ctx = self.context
-        return Root(ctx, ctx._act(self.word, ctx.simple_root(t).coords))
+        return Root(ctx, ctx._act(self.word, ctx._simple_roots[t]))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         ctx = self.context
@@ -373,11 +423,11 @@ class GroupElement:
     def right_descents(self) -> frozenset[int]:
         """Generators s with length(w s) < length(w), i.e. w * alpha_s negative."""
         v = self._inverse_rho()
-        return frozenset(s for s in range(self.context.rank) if v[s].sign() < 0)
+        return frozenset(s for s in range(self.context.rank) if _sign(v[s]) < 0)
 
     def left_descents(self) -> frozenset[int]:
         v = self.context._orbit(self.word)
-        return frozenset(s for s in range(self.context.rank) if v[s].sign() < 0)
+        return frozenset(s for s in range(self.context.rank) if _sign(v[s]) < 0)
 
     def inversion_set(self) -> frozenset[Root]:
         """The positive roots this element sends negative; size equals the length.
@@ -388,7 +438,7 @@ class GroupElement:
         ctx = self.context
         word = self.word
         roots = frozenset(
-            Root(ctx, ctx._act(word[j + 1 :][::-1], ctx.simple_root(s).coords))
+            Root(ctx, ctx._act(word[j + 1 :][::-1], ctx._simple_roots[s]))
             for j, s in enumerate(word)
         )
         if len(roots) != len(word):

@@ -1,11 +1,14 @@
 """Exact arithmetic in the real cyclotomic subfield Q(theta), theta = 2cos(pi/N).
 
-Every root coordinate of a Coxeter system whose finite bond labels >= 3 have
-lcm N lies in Q(2cos(pi/N)).  A scalar is stored canonically as a polynomial
-in theta of degree < d = deg(min_poly), reduced modulo the minimal polynomial
-of theta, with exact rational coefficients.  Equality and the zero test are
-therefore exact; sign determination refines a certified rational enclosure of
-theta until the interval evaluation excludes zero.
+A Coxeter system needs this field only for its bond labels outside
+{2, 3, 4, 6, infinity}; those five take integer Cartan entries
+(group.CoxeterContext).  N is the lcm over the other labels m of m (m odd) or
+m/2 (m even).  A system with none of them has N = 1 and computes over plain
+ints, with no scalar of this module.  A scalar is stored canonically as a
+polynomial in theta of degree < d = deg(min_poly), reduced modulo the minimal
+polynomial of theta, with exact rational coefficients.  Equality and the zero
+test are therefore exact; sign determination refines a certified rational
+enclosure of theta until the interval evaluation excludes zero.
 
 The minimal polynomial is obtained from the cyclotomic polynomial of order 2N:
 with z on the unit circle and y = z + 1/z, a palindromic Phi_{2N}(z) of degree
@@ -205,20 +208,6 @@ class FieldContext:
             self.theta = AlgebraicScalar(self, tuple(coeffs))
         self._theta_float = 2.0 * cos(pi / order)
 
-    @classmethod
-    def from_coxeter_matrix(cls, matrix) -> "FieldContext":
-        """Field for a Coxeter matrix: N = lcm of the finite labels >= 3 (else 1)."""
-        order = 1
-        for i, row in enumerate(matrix):
-            for j in range(i + 1, len(matrix)):
-                m = row[j]
-                if m >= 3:  # 0 encodes infinity, 2 contributes nothing
-                    g, a = order, m
-                    while a:
-                        g, a = a, g % a
-                    order = order * m // g
-        return cls(order)
-
     def _initial_interval(self) -> tuple[Fraction, Fraction]:
         # Certified seed around the float value: widen until the minimal
         # polynomial changes sign across the interval.  Roots of the minimal
@@ -389,7 +378,9 @@ class AlgebraicScalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a rational scalar equals its int or Fraction value, so it hashes like it
+        coeffs = self.coeffs
+        return hash(coeffs) if any(coeffs[1:]) else hash(coeffs[0])
 
     def __bool__(self):
         return any(self.coeffs)

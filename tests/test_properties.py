@@ -1,19 +1,28 @@
 """Seeded property checks of the element core on random Coxeter matrices.
 
-Labels come from {2, 3, 4, 6, infinity}, so every field is Q(2cos(pi/N)) with
-N dividing 12, of degree at most 4.  Finite matrices are also enumerated.
-The exact decisions on unreduced words (represents, descent_sets, and through
-them is_involution and certificate verification) are checked against
-normal-form arithmetic on the same matrices and on B3, H3 and Atilde2.
+The first 30 matrices draw labels from {2, 3, 4, 6, infinity}, whose Cartan
+entries are integers, so their contexts run at field degree 1.  Finite
+matrices are also enumerated.  The exact decisions on unreduced words
+(represents, descent_sets, and through them is_involution and certificate
+verification) are checked against normal-form arithmetic on the same matrices
+and on B3, H3 and Atilde2.
+
+The realization itself is cross-checked against the symmetric one,
+2cos(pi/m_st) over Q(2cos(pi/L)) with L the lcm of all finite labels, on
+catalog systems and on further matrices whose labels include 5, 8, 10 and 12,
+so that field degrees 2 and up are exercised too.
 """
 
 import random
+from math import lcm
 
 import pytest
 from test_group import action_matrix_oracle
 
 from coxcent import (
+    AlgebraicScalar,
     CoxeterContext,
+    FieldContext,
     InvolutionCertificate,
     catalog,
     enumerate_group,
@@ -119,3 +128,100 @@ def test_exact_decisions_match_normal_forms(system):
                 rejected += not holds
     # in (Z/2)^n every tampered conjugator still conjugates w onto rho_I
     assert rejected or all(m in (1, 2) for row in ctx.matrix for m in row)
+
+
+class SymmetricRealization:
+    """Test oracle: the symmetric 2cos(pi/m) matrix over Q(2cos(pi/lcm of all labels)).
+
+    Normal forms peel the least left descent off w(rho); nothing is shared with
+    the Cartan matrix of CoxeterContext but the Coxeter matrix.
+    """
+
+    def __init__(self, matrix):
+        finite = [m for row in matrix for m in row if m >= 3]
+        self.field = FieldContext(lcm(1, *finite))
+        # the diagonal label 1 is never read; 2 stands in for it
+        self.two_cos = [[self.field.two_cos(m if m != 1 else 2) for m in row] for row in matrix]
+        self.rank = len(matrix)
+
+    def orbit(self, word):
+        """w(rho) for w the product of the word."""
+        v = [self.field.one] * self.rank
+        for s in reversed(word):
+            self.reflect(v, s)
+        return v
+
+    def reflect(self, v, s):
+        x = v[s]
+        for t in range(self.rank):
+            if t != s:
+                v[t] = v[t] + self.two_cos[s][t] * x
+        v[s] = -x
+
+    def normal_form(self, word):
+        v, out = self.orbit(word), []
+        while (s := next((t for t in range(self.rank) if v[t].sign() < 0), None)) is not None:
+            out.append(s)
+            self.reflect(v, s)
+        return tuple(out)
+
+    def descents(self, v):
+        return frozenset(t for t in range(self.rank) if v[t].sign() < 0)
+
+    def embed(self, x, field):
+        """An int, or a scalar of a subfield Q(2cos(pi/N)), as a scalar of this field."""
+        if not isinstance(x, AlgebraicScalar):
+            return self.field.rational(x)
+        theta = self.field.two_cos(field.order)
+        acc = self.field.zero
+        for c in reversed(x.coeffs):
+            acc = acc * theta + c
+        return acc
+
+
+WIDE_LABELS = (2, 3, 4, 5, 6, 8, 10, 12, 0)  # 0 encodes an infinite bond
+WIDE_MATRICES = 12
+INF4 = ((1, 0, 3, 2), (0, 1, 3, 4), (3, 3, 1, 0), (2, 4, 0, 1))
+
+
+def wide_matrix(seed):
+    rng = random.Random(f"wide-{seed}")
+    n = rng.randint(2, 4)
+    m = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.choice(WIDE_LABELS)
+    return m
+
+
+@pytest.mark.parametrize(
+    "system", ["B4", "F4", "H3", "I2(8)", "I2(12)", "inf4", *range(WIDE_MATRICES)]
+)
+def test_cartan_realization_matches_symmetric_oracle(system):
+    if system == "inf4":
+        ctx = CoxeterContext(INF4)
+    elif isinstance(system, str):
+        ctx = CoxeterContext.from_name(system)
+    else:
+        ctx = CoxeterContext(wide_matrix(system))
+    oracle = SymmetricRealization(ctx.matrix)
+    n = ctx.rank
+    for s in range(n):
+        for t in range(n):
+            if s != t:
+                product = (oracle.embed(ctx.action_coeff[s][t], ctx.field)
+                           * oracle.embed(ctx.action_coeff[t][s], ctx.field))
+                assert product == oracle.two_cos[s][t] * oracle.two_cos[s][t]
+    if ctx.field.degree == 1:
+        assert all(type(a) is int for row in ctx.action_coeff for a in row)
+    rng = random.Random(f"realization-{system}")
+    words = [tuple(rng.randrange(n) for _ in range(rng.randrange(10))) for _ in range(8)]
+    words += [a + b[::-1] + b for a, b in zip(words[:4], words[4:])]  # unreduced repeats
+    orbits = [tuple(oracle.orbit(a)) for a in words]
+    for a, orbit in zip(words, orbits):
+        w = ctx.element(a)
+        assert w.word == oracle.normal_form(a)
+        assert w.left_descents() == oracle.descents(orbit)
+        assert w.right_descents() == oracle.descents(oracle.orbit(a[::-1]))
+        for b, other in zip(words, orbits):
+            assert ctx.represents(b, w) == (other == orbit)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from coxcent import CoxeterContext
 from coxcent.scalar import (
     MAX_FIELD_DEGREE,
     FieldContext,
@@ -101,18 +102,76 @@ def test_field_degree_guard():
 
 
 def test_field_from_matrix_orders():
-    # all labels in {2,3}: N = 3, theta = 1, degree 1
-    f = FieldContext.from_coxeter_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
-    assert f.order == 3 and f.degree == 1 and f.theta == 1
-    # a single 4: N = 4, minimal polynomial y^2 - 2
-    f = FieldContext.from_coxeter_matrix([[1, 4], [4, 1]])
+    # labels 2, 3, 4, 6 and infinity take integer Cartan entries: N = 1, theta = -2
+    for matrix in ([[1, 3, 2], [3, 1, 3], [2, 3, 1]],   # A3
+                   [[1, 4], [4, 1]],                    # B2
+                   [[1, 3, 2], [3, 1, 4], [2, 4, 1]],   # B3: mixed {3, 4}
+                   [[1, 2], [2, 1]]):                   # no bonds at all
+        f = CoxeterContext(matrix).field
+        assert f.order == 1 and f.degree == 1 and f.theta == -2
+    # an odd label m brings 2cos(pi/m): N = 5, the golden ratio
+    f = CoxeterContext([[1, 5], [5, 1]]).field
+    assert f.order == 5 and f.min_poly == (-1, -1, 1) and f.degree == 2
+    # an even label m brings 2 + 2cos(2pi/m) = 2 + 2cos(pi/(m/2)): N = 4, theta^2 = 2
+    f = CoxeterContext([[1, 8], [8, 1]]).field
     assert f.order == 4 and f.min_poly == (-2, 0, 1) and f.degree == 2
-    # mixed {3,4}: N = 12, degree phi(24)/2 = 4
-    f = FieldContext.from_coxeter_matrix([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
-    assert f.order == 12 and f.degree == 4
-    # no bonds at all: N = 1
-    f = FieldContext.from_coxeter_matrix([[1, 2], [2, 1]])
-    assert f.order == 1 and f.theta == -2
+
+
+def test_rational_scalars_hash_like_their_values():
+    # a rational scalar == its int or Fraction value, so the two must hash alike
+    for order, degree in ((1, 1), (5, 2), (12, 4), (35, 12)):
+        f = FieldContext(order)
+        assert f.degree == degree
+        for value in (0, 1, -1, 2, -7, Fraction(1, 2), Fraction(-3, 4), Fraction(6, 3)):
+            a = f.rational(value)
+            assert a == value and hash(a) == hash(value)
+            assert len({a, value}) == 1
+        assert len({f.one, 1, Fraction(1), f.rational(1)}) == 1
+        assert {f.zero: "zero"}[0] == "zero"
+        if degree > 1:
+            assert f.theta not in {0, 1, -1, 2, -2}
+
+
+def _admitted_orders():
+    # phi(n) >= sqrt(n/2) gives phi(2N)/2 >= sqrt(N)/2, so an admitted N is at
+    # most (2 * MAX_FIELD_DEGREE)^2; sieve phi up to twice that
+    top = (2 * MAX_FIELD_DEGREE) ** 2
+    phi = list(range(2 * top + 1))
+    for p in range(2, 2 * top + 1):
+        if phi[p] == p:
+            for k in range(p, 2 * top + 1, p):
+                phi[k] -= phi[k] // p
+    return [n for n in range(1, top + 1) if phi[2 * n] // 2 <= MAX_FIELD_DEGREE]
+
+
+def test_seed_interval_brackets_exactly_one_root():
+    # Every root of the minimal polynomial of 2cos(pi/N) other than theta itself
+    # is 2cos(j pi/N) with odd j >= 3, so at most 2cos(3pi/N).  A seed interval
+    # with a sign change that lies wholly above 2cos(3pi/N) brackets theta alone.
+    orders = _admitted_orders()
+    assert len(orders) == 337 and max(orders) == 525
+    for order in orders:
+        f = FieldContext(order)
+        lo, hi = f._interval
+        if f.degree == 1:
+            assert lo == hi == -f.min_poly[0] == {1: -2, 2: 0, 3: 1}[order]
+            continue
+        poly = f.min_poly
+        assert _sign_at(poly, lo) * _sign_at(poly, hi) < 0, order
+        theta = theta_numeric(order)
+        assert _mp(lo) < theta < _mp(hi), order
+        assert _mp(lo) - 2 * mpmath.cos(3 * mpmath.pi / order) > mpmath.mpf(10) ** -6, order
+
+
+def _sign_at(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def test_two_cos_values():
