@@ -31,6 +31,7 @@ from .finite import (
     FiniteGroup,
     InfiniteGroupError,
     centralizer,
+    class_centralizer,
     enumerate_group,
     involution_classes,
     involutions,
@@ -64,6 +65,7 @@ __all__ = [
     "FiniteGroup",
     "InfiniteGroupError",
     "centralizer",
+    "class_centralizer",
     "enumerate_group",
     "involution_classes",
     "involutions",

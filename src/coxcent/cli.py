@@ -38,6 +38,16 @@ from .involution import (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxcent",
@@ -59,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="whitespace-separated 1-based generator indices")
         if needs_suite:
             p.add_argument("--suite", required=True, choices=SUITES)
-        p.add_argument("--max-order", type=int, default=DEFAULT_ENUMERATION_CAP,
+        p.add_argument("--max-order", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
                        metavar="N", help="enumeration cap (default %(default)s)")
         p.add_argument("--json", action="store_true",
                        help="compact single-line JSON instead of indented")

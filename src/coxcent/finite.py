@@ -14,6 +14,15 @@ These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
 Z_W(w) = u^-1 N_W(W_I) u, and that Z_W(rho_I) = N_W(W_I) for every
 (-1)-type subset I.
+
+Two centralizers compute the same set.  `centralizer` tests g w = w g for
+every g, two walks over all of W per involution; it is the oracle the tests,
+the prop2 suite and the CLI's brute_force_match field use.  `class_centralizer`
+makes one pass over W per conjugacy class: g -> g w g^-1 has the cosets
+t_c Z_W(w) as fibres, so Z_W(c) = t_c Z_W(w) t_c^-1 for every member c, at
+|Z_W(w)| walks each.  The main suite uses it, because it brings E6 from one
+pass per involution (892) to one per class (5).  Neither uses the certificate
+or the normalizer, so the main check stays independent of what it checks.
 """
 
 from __future__ import annotations
@@ -91,6 +100,9 @@ class FiniteGroup(ElementSet):
         self._steps = steps
         self._inverse_idx = None
         self._normalizer_memo: dict[frozenset, ElementSet] = {}
+        # member index -> (Z_W(rep) as indices, transversal c -> t_c), one
+        # shared pair per conjugacy class that class_centralizer has met
+        self._class_memo: dict[int, tuple[list[int], dict[int, int]]] = {}
 
     def walk(self, start: int, word) -> int:
         """Index of elements[start] * (product of the word), by table lookups."""
@@ -171,6 +183,48 @@ def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     return ElementSet(group.context, members)
 
 
+def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
+    """Z_W(w) as t_c Z_W(rep) t_c^-1, from one pass over W per conjugacy class.
+
+    The first member of a class asked for becomes its rep.  Its pass walks
+    c = g rep g^-1 for every g in index order: the fibre c == rep is
+    Z_W(rep), and the first g seen for each c is t_c, the ShortLex-least
+    element with t_c rep t_c^-1 = c.  Only that pair is kept, under every
+    member's index; each later member c costs |Z_W(rep)| walks.  Same set as
+    `centralizer`, in ShortLex order.
+    """
+    k = group.index_of(w)
+    memo = group._class_memo
+    found = memo.get(k)
+    if found is None:
+        steps = group._steps
+        word_w = w.word
+        z: list[int] = []
+        transversal: dict[int, int] = {}
+        for i, g in enumerate(group.elements):
+            c = i
+            for s in word_w:
+                c = steps[c][s]
+            for s in reversed(g.word):
+                c = steps[c][s]
+            if c == k:
+                z.append(i)
+            if c not in transversal:
+                transversal[c] = i
+        if len(z) * len(transversal) != len(group):
+            raise AssertionError("|Z_W(w)| x |class of w| != |W|")
+        found = (z, transversal)
+        for c in transversal:
+            memo[c] = found
+    z, transversal = found
+    t = transversal[k]
+    t_inv_word = group.elements[t].word[::-1]
+    members = sorted(
+        group.walk(group.walk(t, group.elements[i].word), t_inv_word) for i in z
+    )
+    return ElementSet(group.context, (group.elements[i] for i in members))
+
+
 def normalizer(subset, group: FiniteGroup) -> ElementSet:
     """All g with g s g^-1 in the standard parabolic on `subset`, for every s there.
 
@@ -219,9 +273,15 @@ def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> El
 
 
 def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
-    """Set equality Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w."""
+    """Set equality Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w.
+
+    Z_W(w) comes from `class_centralizer`, one pass over W per conjugacy
+    class, not from the brute-force `centralizer`, which passes over W for
+    every involution; the two give the same set, which the tests check on
+    every involution of several groups.  Neither reads the certificate.
+    """
     cert = involution_certificate(w)
-    return conjugated_normalizer(cert, group).words() == centralizer(w, group).words()
+    return conjugated_normalizer(cert, group).words() == class_centralizer(w, group).words()
 
 
 def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
@@ -323,8 +383,10 @@ def verify_suite(name: str, group: FiniteGroup) -> tuple[int, list[dict]]:
     """(instances_checked, failures) of the suite `name`, one of SUITES, over the group.
 
     prop1: every involution's certificate verifies.  prop2: Z_W(rho_I) =
-    N_W(W_I) for every (-1)-type I.  main: Z_W(w) = u^-1 N_W(W_I) u for every
-    involution w.  classes: the involution classes partition the involutions
-    and each holds its certificate's rho_I.  Failures name instances 1-based.
+    N_W(W_I) for every (-1)-type I, Z_W from the brute-force `centralizer`.
+    main: Z_W(w) = u^-1 N_W(W_I) u for every involution w, Z_W from
+    `class_centralizer`.  classes: the involution classes partition the
+    involutions and each holds its certificate's rho_I.  Failures name
+    instances 1-based.
     """
     return _SUITE_RUNNERS[name](group)

@@ -53,34 +53,45 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    # exact long division over Z; den is monic (cyclotomic factors always are)
-    num = list(num)
-    d = len(den) - 1
-    quot = [0] * (len(num) - d)
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + d]
-        quot[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num[:d]):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
-
-
-_cyclotomic_cache: dict[int, list[int]] = {}
+def _mobius(n: int) -> int:
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
-    poly = _cyclotomic_cache.get(n)
-    if poly is None:
-        poly = [-1] + [0] * (n - 1) + [1]  # z^n - 1
-        for d in range(1, n):
-            if n % d == 0:
-                poly = _poly_divexact(poly, cyclotomic_polynomial(d))
-        _cyclotomic_cache[n] = poly
+    """Coefficients of the n-th cyclotomic polynomial, low degree first.
+
+    Phi_n is the product of (z^d - 1)^mu(n/d) over the divisors d of n.  The
+    factors with mu = +1 are multiplied in first, then those with mu = -1 are
+    divided out exactly; each step is a sparse pass over the coefficients.
+    """
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    mu = {d: _mobius(n // d) for d in divisors}
+    poly = [1]
+    for d in divisors:
+        if mu[d] == 1:
+            # poly * (z^d - 1)
+            out = [-c for c in poly] + [0] * d
+            for k, c in enumerate(poly):
+                out[k + d] += c
+            poly = out
+    for d in divisors:
+        if mu[d] == -1:
+            # poly / (z^d - 1): poly[j] = q[j - d] - q[j], so q[j] = q[j - d] - poly[j]
+            m = len(poly) - d
+            quot = []
+            for j in range(m):
+                quot.append((quot[j - d] if j >= d else 0) - poly[j])
+            if [quot[j - d] if j >= d else 0 for j in range(m, len(poly))] != poly[m:]:
+                raise ArithmeticError("inexact polynomial division")
+            poly = quot
     return poly
 
 

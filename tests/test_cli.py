@@ -121,6 +121,14 @@ def test_verify_cap_exceeded():
     assert "cap" in doc["error"]
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
+def test_max_order_must_be_positive(value):
+    proc = run("verify", "--type", "A3", "--suite", "main", "--max-order", value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"--max-order: must be a positive integer, got '{value}'" in proc.stderr
+
+
 def test_matrix_file_input(tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"rank": 3, "m": [[1, 3, 3], [3, 1, 0], [3, 0, 1]]}))

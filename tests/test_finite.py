@@ -9,6 +9,7 @@ from coxcent import (
     EnumerationCapExceeded,
     InfiniteGroupError,
     centralizer,
+    class_centralizer,
     enumerate_group,
     involution_certificate,
     involution_classes,
@@ -120,6 +121,27 @@ def test_centralizer_lagrange_and_class_sizes(group_of, context_of):
             z = centralizer(rep, group)
             assert len(group) % len(z) == 0
             assert len(group) // len(z) == len(members)
+
+
+# A2 x B2: a reducible system, whose classes are products of the factors' classes
+A2_X_B2 = [[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 4], [2, 2, 4, 1]]
+
+
+@pytest.mark.parametrize("name", ["H3", "B4", "A5", "D4", "F4", "I2(8)", "A2xB2"])
+def test_class_centralizer_matches_brute_force(name):
+    # a fresh group, queried in a seeded random order, so the member that
+    # becomes each class's rep is not always its ShortLex-least one
+    ctx = CoxeterContext(A2_X_B2) if name == "A2xB2" else CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    members = involutions(group)
+    random.Random(name).shuffle(members)
+    for w in members:
+        got = sorted(group.index_of(g) for g in class_centralizer(w, group))
+        want = sorted(group.index_of(g) for g in centralizer(w, group))
+        assert got == want, w.word
+    # one memo entry per involution, one pass per class
+    assert len(group._class_memo) == len(members)
+    assert len({id(v) for v in group._class_memo.values()}) == len(involution_classes(group))
 
 
 def test_normalizer_examples(group_of, context_of):

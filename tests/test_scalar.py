@@ -35,6 +35,36 @@ def eval_numeric(scalar):
     return acc
 
 
+def _divexact(num, den):
+    # exact long division over Z by a monic polynomial, low degree first
+    num = list(num)
+    d = len(den) - 1
+    quot = [0] * (len(num) - d)
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + d]
+        quot[k] = c
+        if c:
+            for j, dj in enumerate(den):
+                if dj:
+                    num[k + j] -= c * dj
+    assert not any(num[:d])
+    return quot
+
+
+def test_cyclotomic_matches_division_oracle():
+    # the defining recursion: Phi_n = (z^n - 1) / Phi_d over every proper
+    # divisor d of n; dividing by the largest d first keeps the running
+    # quotient short.  n <= 1050 covers 2N for every admitted order N <= 525.
+    oracle = {}
+    for n in range(1, 1051):
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(n - 1, 0, -1):
+            if n % d == 0:
+                poly = _divexact(poly, oracle[d])
+        oracle[n] = poly
+        assert cyclotomic_polynomial(n) == poly, n
+
+
 def test_cyclotomic_basics():
     assert cyclotomic_polynomial(1) == [-1, 1]
     assert cyclotomic_polynomial(2) == [1, 1]
