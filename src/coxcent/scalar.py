@@ -7,8 +7,10 @@ m/2 (m even).  A system with none of them has N = 1 and computes over plain
 ints, with no scalar of this module.  A scalar is stored canonically as a
 polynomial in theta of degree < d = deg(min_poly), reduced modulo the minimal
 polynomial of theta, with exact rational coefficients.  Equality and the zero
-test are therefore exact; sign determination refines a certified rational
-enclosure of theta until the interval evaluation excludes zero.
+test are therefore exact.  A sign is decided by interval Horner over a
+certified enclosure of theta whose ends are dyadic rationals, computed on
+scaled integers with no Fraction and no float; the enclosure is narrowed by
+bisection until the evaluation excludes zero.
 
 The minimal polynomial is obtained from the cyclotomic polynomial of order 2N:
 with z on the unit circle and y = z + 1/z, a palindromic Phi_{2N}(z) of degree
@@ -20,9 +22,7 @@ satisfy D_i(2cos x) = 2cos(ix)).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, isqrt, pi
-
-_ZERO = Fraction(0)
+from math import cos, isqrt, lcm, pi
 
 # Largest field degree a FieldContext accepts.  Labels (7, 11, 13) need degree
 # 360, where one 20-letter word takes minutes; I2(251), degree 125, is fast.
@@ -140,17 +140,36 @@ def _check_no_rational_root(poly: list[int]) -> None:
             candidates.update((k, -k, a0 // k, -(a0 // k)))
         k += 1
     for r in candidates:
-        acc = 0
-        for c in reversed(poly):
-            acc = acc * r + c
-        if acc == 0:
+        if _scaled_horner(poly, r, r)[0] == 0:
             raise ArithmeticError(f"reducible minimal polynomial, root {r}")
 
 
+def _scaled_horner(coeffs, lo, hi) -> tuple[int, int]:
+    """Interval Horner enclosure of sum coeffs[k] x^k over x in [lo, hi], scaled.
+
+    coeffs holds top ints; lo and hi are ints or Fractions.  With q the common
+    denominator of lo and hi, L = lo*q and H = hi*q, the steps
+    R_k = {R_(k+1)*L, R_(k+1)*H} + coeffs[k]*q^(top-1-k) run on plain ints and
+    give the enclosure of the rational interval Horner times q^(top-1) > 0:
+    the same bounds, so the same signs, with no Fraction arithmetic.  A point
+    lo == hi gives the exact value, scaled.
+    """
+    q = lcm(lo.denominator, hi.denominator)
+    L = lo.numerator * (q // lo.denominator)
+    H = hi.numerator * (q // hi.denominator)
+    rlo = rhi = coeffs[-1]
+    scale = 1
+    for k in range(len(coeffs) - 2, -1, -1):
+        scale *= q
+        p1, p2, p3, p4 = rlo * L, rlo * H, rhi * L, rhi * H
+        c = coeffs[k] * scale
+        rlo = min(p1, p2, p3, p4) + c
+        rhi = max(p1, p2, p3, p4) + c
+    return rlo, rhi
+
+
 def _poly_sign_at(poly, x: Fraction) -> int:
-    acc = _ZERO
-    for c in reversed(poly):
-        acc = acc * x + c
+    acc = _scaled_horner(poly, x, x)[0]
     return (acc > 0) - (acc < 0)
 
 
@@ -408,6 +427,15 @@ class AlgebraicScalar:
         return s
 
     def _compute_sign(self) -> int:
+        """Exact sign by interval Horner on scaled integers; no Fraction, no float.
+
+        The coefficients are cleared of denominators by their positive lcm and
+        evaluated by _scaled_horner over the current enclosure of theta, whose
+        ends are dyadic (a float seed plus or minus 2^-k, then bisected).  An
+        enclosure that excludes zero decides the sign; otherwise theta is
+        narrowed and the evaluation repeats.  The field's interval is read
+        once per attempt, so a concurrent narrowing is never half seen.
+        """
         coeffs = self.coeffs
         if not any(coeffs):
             return 0
@@ -418,15 +446,14 @@ class AlgebraicScalar:
         top = len(coeffs)
         while not coeffs[top - 1]:
             top -= 1
+        ints = coeffs[:top]
+        den = lcm(*[c.denominator for c in ints])
+        if den != 1:
+            ints = [c.numerator * (den // c.denominator) for c in ints]
         halvings = 8
         for _ in range(24):
             lo, hi = field._interval
-            rlo = rhi = coeffs[top - 1]
-            for k in range(top - 2, -1, -1):
-                p1, p2, p3, p4 = rlo * lo, rlo * hi, rhi * lo, rhi * hi
-                c = coeffs[k]
-                rlo = min(p1, p2, p3, p4) + c
-                rhi = max(p1, p2, p3, p4) + c
+            rlo, rhi = _scaled_horner(ints, lo, hi)
             if rlo > 0:
                 return 1
             if rhi < 0:

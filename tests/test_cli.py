@@ -194,3 +194,14 @@ def test_json_flag_compact_and_deterministic():
 def test_missing_system_is_usage_error():
     proc = run("reduce", "--word", "1")
     assert proc.returncode == 2
+
+
+def test_closed_stdout_is_not_a_crash():
+    # the reader closes its end before the CLI writes, like `coxcent ... | head -c 10`
+    proc = subprocess.Popen(COX + ["reduce", "--type", "A2", "--word", "1 2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == ""

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -11,6 +12,7 @@ from coxcent.scalar import (
     MAX_FIELD_DEGREE,
     FieldContext,
     FieldDegreeError,
+    _scaled_horner,
     cyclotomic_polynomial,
     dickson_polynomials,
     euler_phi,
@@ -342,3 +344,95 @@ def test_concurrent_sign_determination_consistent():
         assert got == expected
     lo, hi = fresh.theta_enclosure()
     assert lo <= hi
+
+
+def _fraction_sign(coeffs, poly, enclosure):
+    # The sign as decided over Fractions: interval Horner over a certified
+    # enclosure of theta, bisected with the Fraction _sign_at until it decides.
+    # enclosure is a one-element list holding (lo, hi); it is narrowed in place.
+    if not any(coeffs):
+        return 0
+    top = max(k for k, c in enumerate(coeffs) if c) + 1
+    while True:
+        lo, hi = enclosure[0]
+        rlo = rhi = Fraction(coeffs[top - 1])
+        for c in reversed(coeffs[: top - 1]):
+            products = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
+            rlo, rhi = min(products) + c, max(products) + c
+        if rlo > 0:
+            return 1
+        if rhi < 0:
+            return -1
+        s_lo = _sign_at(poly, lo)
+        for _ in range(8):
+            mid = (lo + hi) / 2
+            if _sign_at(poly, mid) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        enclosure[0] = (lo, hi)
+
+
+def _convergents(x):
+    # continued-fraction convergents p/q of the mpf x, q ascending
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while k1 < 10**20:
+        a = int(mpmath.floor(x))
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        yield h1, k1
+        x = 1 / (x - a)
+
+
+def test_scaled_horner_is_the_fraction_enclosure_scaled():
+    # The integer kernel returns the Fraction interval Horner's bounds times
+    # q^(top-1), q the common denominator of the ends; after bisection the two
+    # ends carry different powers of two, and a point gives the exact value.
+    rng = random.Random(2718)
+    for _ in range(200):
+        top = rng.randint(1, 14)
+        coeffs = [rng.randint(-99, 99) for _ in range(top - 1)] + [rng.choice((-3, 1, 7))]
+        lo = Fraction(rng.randint(-(1 << 20), 1 << 20), 1 << rng.randint(0, 24))
+        hi = lo + Fraction(rng.randint(0, 1 << 10), 1 << rng.randint(0, 30))
+        q = max(lo.denominator, hi.denominator)
+        rlo, rhi = _interval_eval(SimpleNamespace(coeffs=coeffs), lo, hi)
+        assert _scaled_horner(coeffs, lo, hi) == (rlo * q ** (top - 1), rhi * q ** (top - 1))
+        value = sum(c * lo**k for k, c in enumerate(coeffs)) * lo.denominator ** (top - 1)
+        assert _scaled_horner(coeffs, lo, lo) == (value, value)
+
+
+@pytest.mark.parametrize("order,count,max_q", [
+    (5, 40, 10**20), (12, 40, 10**20), (35, 30, 10**20), (251, 3, 10**5),
+], ids=["deg2", "deg4", "deg12", "deg125"])
+def test_sign_matches_fraction_horner_and_mpmath(order, count, max_q):
+    # Random scalars with int and with Fraction coefficients, some with zero
+    # top coefficients, and near-zero scalars q*theta - p from the convergents
+    # p/q of theta, alone and times a random scalar.  The near-zero ones force
+    # refine_theta.  Each sign must equal the Fraction interval Horner's and
+    # the sign of a 60-digit evaluation.
+    rng = random.Random(order)
+    f = FieldContext(order)
+    d = f.degree
+    seed = f._interval
+    assert _sign_at(f.min_poly, seed[0]) * _sign_at(f.min_poly, seed[1]) < 0
+    enclosure = [seed]
+    scalars = []
+    for _ in range(count):
+        top = rng.randint(2, d)
+        ints = [rng.randint(-50, 50) for _ in range(top)] + [0] * (d - top)
+        fracs = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(top)]
+        scalars += [f.from_coeffs(ints), f.from_coeffs(fracs + [0] * (d - top))]
+    near_zero = [f.theta * q - p for p, q in _convergents(theta_numeric(order))
+                 if 10**4 <= q <= max_q]
+    assert len(near_zero) >= 2
+    cofactor = f.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                              for _ in range(d)])
+    scalars += near_zero + [x * cofactor for x in near_zero]
+    for x in scalars:
+        value = eval_numeric(x)
+        assert abs(value) > mpmath.mpf(10) ** -30
+        expected = 1 if value > 0 else -1
+        assert x.sign() == expected, x
+        assert _fraction_sign(x.coeffs, f.min_poly, enclosure) == expected, x
+    lo, hi = f._interval
+    assert seed[0] <= lo < hi <= seed[1] and hi - lo < seed[1] - seed[0]
