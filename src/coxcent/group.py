@@ -24,7 +24,8 @@ evaluates the coordinates that step changed.
 
 Group identities need no normal form.  rho lies in the open fundamental
 chamber, so x = y iff x^-1(rho) = y^-1(rho), compared coefficient by
-coefficient; CoxeterContext.represents and descent_sets work on arbitrary,
+coefficient; CoxeterContext.represents and the descent helpers
+(screened_descents, least_unnegated_descent, descent_sets) work on arbitrary,
 unreduced words this way.
 
 Elements are immutable values apart from the cached vector, which is filled
@@ -159,7 +160,9 @@ class CoxeterContext:
     the lcm over those other labels of m (odd) or m/2 (even), and N = 1 when
     there are none.  At field degree 1 every entry and every root or orbit
     vector holds plain ints; only degree 2 and up use AlgebraicScalar.
-    Immutable and shareable; the longest-element memo only ever gains entries.
+    Immutable and shareable apart from two memos keyed by generator subset,
+    which only ever gain entries: _longest_memo (involution.longest_element)
+    and _minus_one_memo (involution.is_minus_one_type).
     """
 
     def __init__(self, matrix):
@@ -204,6 +207,7 @@ class CoxeterContext:
         self._identity = GroupElement(self, (), self._rho)
         self._generators = tuple(GroupElement(self, (s,)) for s in range(n))
         self._longest_memo: dict[frozenset, GroupElement] = {}
+        self._minus_one_memo: dict[frozenset, bool] = {}
 
     @classmethod
     def from_name(cls, name: str) -> "CoxeterContext":
@@ -300,28 +304,52 @@ class CoxeterContext:
         """
         if element.context is not self:
             raise ValueError("element from a different context")
-        return tuple(self._orbit(word[::-1])) == element.orbit_key()
+        return self.orbit_key(word) == element.orbit_key()
+
+    def orbit_key(self, word) -> tuple:
+        """x^-1(rho) for x the product of an arbitrary word: x's GroupElement.orbit_key()."""
+        return tuple(self._orbit(word[::-1]))
+
+    # --- descents of unreduced words; `orbit` is always x^-1(rho) ---
+
+    def screened_descents(self, orbit) -> tuple[frozenset[int], bool]:
+        """(D, screen): D the right descents of x, read as the signs of x^-1(rho),
+        and whether every s in D has coordinate exactly -1.
+
+        Coordinate s of x^-1(rho) is the height of x(alpha_s), so s can be a
+        negated simple (x(alpha_s) = -alpha_s) only if it is -1: the screen is
+        necessary for D = N, with no column read.
+        """
+        descents = frozenset(s for s, c in enumerate(orbit) if _sign(c) < 0)
+        return descents, all(orbit[s] == -1 for s in descents)
+
+    def _negates(self, word, orbit, s: int) -> bool:
+        """Whether x(alpha_s) = -alpha_s; the column is walked only past the height screen."""
+        if orbit[s] != -1:
+            return False
+        alpha = self._simple_roots[s]
+        return self._act(word, alpha) == tuple(-c for c in alpha)
+
+    def least_unnegated_descent(self, word, orbit, descents) -> int | None:
+        """min(D \\ N) for x the product of the word, or None when D = N.
+
+        Goes through D in ascending order and stops at the first s with
+        x(alpha_s) != -alpha_s, so a column is computed only for the members
+        of N before it, and for s itself when its coordinate is -1.
+        """
+        return next((s for s in sorted(descents) if not self._negates(word, orbit, s)), None)
 
     def descent_sets(self, word, orbit=None) -> tuple[frozenset[int], frozenset[int]]:
         """(D, N) for x the product of an arbitrary word, which is never normalised.
 
-        D is the right descent set of x, read as the signs of x^-1(rho); N holds
-        the s in D with x(alpha_s) = -alpha_s exactly.  Coordinate s of
-        x^-1(rho) is the height of x(alpha_s), so that forces it to be -1: the
-        column x(alpha_s) is computed only for descents passing this exact
-        screen.  Pass `orbit` = x^-1(rho) when it is already known
-        (GroupElement.orbit_key()).
+        D is the right descent set of x; N holds the s in D with
+        x(alpha_s) = -alpha_s exactly, each column computed only past the
+        height screen of screened_descents.  Pass `orbit` = x^-1(rho) when it
+        is already known (GroupElement.orbit_key()).
         """
-        v = self._orbit(word[::-1]) if orbit is None else orbit
-        descents = []
-        negated = []
-        for s in range(self.rank):
-            if _sign(v[s]) < 0:
-                descents.append(s)
-                alpha = self._simple_roots[s]
-                if v[s] == -1 and self._act(word, alpha) == tuple(-c for c in alpha):
-                    negated.append(s)
-        return frozenset(descents), frozenset(negated)
+        v = self.orbit_key(word) if orbit is None else orbit
+        descents = self.screened_descents(v)[0]
+        return descents, frozenset(s for s in descents if self._negates(word, v, s))
 
     def greedy_longest(self, subset) -> "GroupElement":
         """Longest element of the standard parabolic on `subset`, which must be finite.
@@ -367,7 +395,7 @@ class GroupElement:
     def _inverse_rho(self) -> tuple:
         v = self._inv_rho
         if v is None:
-            v = self._inv_rho = tuple(self.context._orbit(self.word[::-1]))
+            v = self._inv_rho = self.context.orbit_key(self.word)
         return v
 
     @property

@@ -13,7 +13,11 @@ of the resulting subset I is claimed.
 Every group identity here (w^2 = 1, u w u^-1 = rho_I) is decided by exact
 equality of orbit vectors x^-1(rho) (CoxeterContext.represents), and the
 descent runs on the unreduced word s_k..s_1 w s_1..s_k: no intermediate
-conjugate is ever normalised, only the conjugator handed back.
+conjugate is ever normalised, only the conjugator handed back.  Each step
+walks that word once, for the orbit vector of the conjugate x.  The descent
+stops when that vector is the one of rho_D, D = D(x) of (-1)-type, which
+holds exactly when D(x) = N(x); otherwise a root column x(alpha_s) is walked
+only while choosing the step, for the members of D below it.
 
 The certificate is what reduces a centralizer Z_W(w) to a conjugated parabolic
 normalizer: Z_W(w) = u^-1 N_W(W_I) u (verified on finite groups in .finite).
@@ -65,11 +69,16 @@ def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
 
 
 def is_minus_one_type(ctx: CoxeterContext, subset) -> bool:
-    """Whether the parabolic is finite with a longest element negating all its simples."""
-    subset = frozenset(subset)
-    if not is_finite_parabolic(ctx, subset):
-        return False
-    return negated_simples(longest_element(ctx, subset)) >= subset
+    """Whether the parabolic is finite with a longest element negating all its simples.
+
+    Memoized per context; an infinite parabolic gives False.
+    """
+    key = frozenset(subset)
+    cached = ctx._minus_one_memo.get(key)
+    if cached is None:
+        cached = is_finite_parabolic(ctx, key) and negated_simples(longest_element(ctx, key)) >= key
+        ctx._minus_one_memo[key] = cached
+    return cached
 
 
 @dataclass(frozen=True)
@@ -106,14 +115,26 @@ class InvolutionCertificate:
 def involution_certificate(w: GroupElement) -> InvolutionCertificate:
     """Descend an involution to a parabolic longest element, returning (I, u).
 
-    Iterative: while the descent set strictly contains the negated simples,
-    conjugate by the least generator in the difference (each such conjugation
+    Iterative: while the descent set D strictly contains the negated simples
+    N, conjugate by the least generator in D \\ N (each such conjugation
     shortens the element by exactly 2); when they coincide the element *is*
     the longest element of the (-1)-type parabolic on that set.  The number of
     steps is therefore at most length(w)/2.  Rejects non-involutions, and
     accepts the identity (empty subset, trivial conjugator).
 
-    The running conjugate is kept as the unreduced word s_k..s_1 w s_1..s_k.
+    The running conjugate x is kept as the unreduced word s_k..s_1 w s_1..s_k,
+    walked once per step for v = x^-1(rho); D is read from the signs of v.
+    Stop test: every s in D has v_s = -1, D is of (-1)-type and v is the
+    orbit vector of rho_D.  It holds exactly when D = N.  If D = N, then
+    x = rho_D with D of (-1)-type, so each v_s, the height of
+    x(alpha_s) = -alpha_s, is -1, and v = rho_D^-1(rho).  Conversely, v equal
+    to that vector means x = rho_D (rho has a trivial stabiliser), which
+    negates every simple root of D, so D <= N <= D.  Step choice: the members
+    of D are taken in ascending order, and the first s with v_s != -1 or
+    x(alpha_s) != -alpha_s is the least s in D outside N, i.e. min(D \\ N);
+    a column is walked only for the members of N below it (and for s when
+    v_s = -1).
+
     A conjugation changes the length by at most 2, so reaching rho_I with
     length(rho_I) = length(w) - 2k proves that every step shortened by 2.
     """
@@ -126,15 +147,19 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
     steps = []
     word, orbit = w.word, w.orbit_key()
     while True:
-        descents, negated = ctx.descent_sets(word, orbit)
-        if descents == negated:
-            break
-        s = min(descents - negated)
+        descents, screened = ctx.screened_descents(orbit)
+        if screened and is_minus_one_type(ctx, descents):
+            rho = longest_element(ctx, descents)
+            if orbit == rho.orbit_key():
+                break
+        s = ctx.least_unnegated_descent(word, orbit, descents)
+        if s is None:
+            raise AssertionError("descents all negated, yet the conjugate is not their longest element")
         steps.append(s)
-        word, orbit = (s,) + word + (s,), None
-    rho = longest_element(ctx, negated)
-    if not (ctx.represents(word, rho) and rho.length == w.length - 2 * len(steps)):
+        word = (s,) + word + (s,)
+        orbit = ctx.orbit_key(word)
+    if rho.length != w.length - 2 * len(steps):
         raise AssertionError("descent did not reach the parabolic longest element by 2 per step")
     return InvolutionCertificate(
-        subset=negated, conjugator=ctx.element(steps[::-1]), steps=tuple(steps)
+        subset=descents, conjugator=ctx.element(steps[::-1]), steps=tuple(steps)
     )

@@ -10,7 +10,8 @@ polynomial of theta, with exact rational coefficients.  Equality and the zero
 test are therefore exact.  A sign is decided by interval Horner over a
 certified enclosure of theta whose ends are dyadic rationals, computed on
 scaled integers with no Fraction and no float; the enclosure is narrowed by
-bisection until the evaluation excludes zero.
+bisection until the evaluation excludes zero, within a number of halvings
+bounded from the coefficients (AlgebraicScalar._compute_sign).
 
 The minimal polynomial is obtained from the cyclotomic polynomial of order 2N:
 with z on the unit circle and y = z + 1/z, a palindromic Phi_{2N}(z) of degree
@@ -435,6 +436,18 @@ class AlgebraicScalar:
         enclosure that excludes zero decides the sign; otherwise theta is
         narrowed and the evaluation repeats.  The field's interval is read
         once per attempt, so a concurrent narrowing is never half seen.
+
+        The narrowing is bounded.  The cleared value p(theta) = sum c_k theta^k
+        is a nonzero algebraic integer of degree d (deg p < d), and every
+        conjugate 2cos(j*pi/N) of theta lies in [-2, 2], so every conjugate of
+        p(theta) is at most B = sum |c_k| 2^k in absolute value.  Their product,
+        the norm, is a nonzero integer, so |p(theta)| >= B^-(d-1).  The
+        enclosure [lo, hi] of theta, of width h, lies inside [-3, 3] (its seed
+        is within 2^-8 of theta in [0, 2)), and an interval product A*X is at
+        most |A| w(X) + |X| w(A) wide, so the Horner enclosure is at most h * W
+        wide, W = sum k |c_k| 3^(k-1).  Once h * W * B^(d-1) < 1, an enclosure
+        containing zero would put |p(theta)| below its bound, so it excludes
+        zero; an undecided sign after that many halvings is an ArithmeticError.
         """
         coeffs = self.coeffs
         if not any(coeffs):
@@ -450,17 +463,25 @@ class AlgebraicScalar:
         den = lcm(*[c.denominator for c in ints])
         if den != 1:
             ints = [c.numerator * (den // c.denominator) for c in ints]
+        budget = None  # halvings left before the enclosure must decide
         halvings = 8
-        for _ in range(24):
+        while True:
             lo, hi = field._interval
             rlo, rhi = _scaled_horner(ints, lo, hi)
             if rlo > 0:
                 return 1
             if rhi < 0:
                 return -1
-            field.refine_theta(halvings)
+            if budget is None:
+                bound = sum(abs(c) << k for k, c in enumerate(ints)) ** (field.degree - 1)
+                widening = sum(k * abs(c) * 3 ** (k - 1) for k, c in enumerate(ints) if k)
+                budget = int((hi - lo) * widening * bound).bit_length()  # 2^budget > h*W*B^(d-1)
+            if budget <= 0:
+                raise ArithmeticError("sign undecided on an enclosure narrow enough to decide it")
+            step = min(halvings, budget)
+            field.refine_theta(step)
+            budget -= step
             halvings *= 2
-        raise ArithmeticError("sign undecided after deep refinement")
 
     def to_float(self) -> float:
         x = self.field._theta_float

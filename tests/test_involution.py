@@ -7,6 +7,7 @@ import pytest
 from coxcent import (
     CoxeterContext,
     involution_certificate,
+    involutions,
     is_finite_parabolic,
     is_involution,
     is_minus_one_type,
@@ -14,6 +15,18 @@ from coxcent import (
     negated_simples,
     word_from_string,
 )
+
+# Two non-catalog systems: infinite bonds with labels 3 and 4 (field degree
+# 4), and labels 5, 7, 5 over Q(2cos(pi/35)), field degree 12.
+MATRICES = {
+    "inf4": ((1, 0, 3, 2), (0, 1, 3, 4), (3, 3, 1, 0), (2, 4, 0, 1)),
+    "deg12": ((1, 5, 2, 2), (5, 1, 7, 2), (2, 7, 1, 5), (2, 2, 5, 1)),
+}
+
+
+def fresh_context(system):
+    spec = MATRICES.get(system)
+    return CoxeterContext(spec) if spec else CoxeterContext.from_name(system)
 
 
 def el(ctx, text):
@@ -198,3 +211,66 @@ def test_descent_steps_shorten_by_two(group_of, context_of):
         assert cur == cert.target()
         checked += 1
     assert checked > 0, "B3 should have involutions needing descent steps"
+
+
+def reference_certificate(w):
+    """The descent by its defining rule: both sets of every conjugate, then min(D \\ N)."""
+    ctx = w.context
+    steps, word = [], w.word
+    while True:
+        descents, negated = ctx.descent_sets(word)
+        if descents == negated:
+            break
+        s = min(descents - negated)
+        steps.append(s)
+        word = (s,) + word + (s,)
+    assert ctx.represents(word, longest_element(ctx, negated))
+    return negated, tuple(steps), ctx.element(steps[::-1]).word
+
+
+@pytest.mark.parametrize("system,lengths,count", [
+    ("Atilde3", (4, 8, 12, 16), 40), ("Atilde4", (4, 8, 12, 16, 20), 40),
+    ("E8", (4, 8, 12, 16, 20), 30), ("H4", (4, 8, 12, 16), 30), ("B4", (4, 8, 12), 30),
+    ("I2(8)", (3, 6, 9), 20), ("inf4", (2, 3, 4, 5), 20), ("deg12", (2, 3, 4), 12),
+])
+def test_descent_matches_reference_on_random_conjugates(system, lengths, count):
+    # x . rho_J . x^-1 over every (-1)-type J in turn, x a seeded random word
+    rng = random.Random(system)
+    ctx = fresh_context(system)
+    subsets = [frozenset(s for s in range(ctx.rank) if mask >> s & 1)
+               for mask in range(1, 1 << ctx.rank)]
+    rhos = [longest_element(ctx, J).word for J in subsets if is_minus_one_type(ctx, J)]
+    longest = 0
+    for i in range(count):
+        x = [rng.randrange(ctx.rank) for _ in range(lengths[i % len(lengths)])]
+        w = ctx.element(x + list(rhos[i % len(rhos)]) + x[::-1])
+        cert = involution_certificate(w)
+        assert (cert.subset, cert.steps, cert.conjugator.word) == reference_certificate(w), w
+        longest = max(longest, len(cert.steps))
+    assert longest >= 3
+
+
+@pytest.mark.parametrize("system", ["H3", "B4", "D4"])
+def test_descent_matches_reference_on_every_involution(group_of, system):
+    for w in involutions(group_of(system)):
+        cert = involution_certificate(w)
+        assert (cert.subset, cert.steps, cert.conjugator.word) == reference_certificate(w), w
+
+
+@pytest.mark.parametrize("system", ["H4", "B4", "Atilde3", "inf4"])
+def test_minus_one_memo_matches_a_fresh_context(system):
+    # every subset, infinite parabolics included: the memoized answer equals
+    # the one computed on a new context, and a second call returns it again
+    ctx = fresh_context(system)
+    infinite = 0
+    for mask in range(1 << ctx.rank):
+        subset = frozenset(s for s in range(ctx.rank) if mask >> s & 1)
+        expected = is_minus_one_type(fresh_context(system), subset)
+        first = is_minus_one_type(ctx, subset)
+        assert first is expected and ctx._minus_one_memo[subset] is expected
+        assert is_minus_one_type(ctx, sorted(subset)) is expected
+        if not is_finite_parabolic(ctx, subset):
+            assert expected is False
+            infinite += 1
+    assert len(ctx._minus_one_memo) == 1 << ctx.rank
+    assert infinite > 0 or system in ("H4", "B4")

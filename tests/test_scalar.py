@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from time import perf_counter
 from types import SimpleNamespace
 
 import mpmath
 import pytest
 
-from coxcent import CoxeterContext
+from coxcent import CoxeterContext, scalar
 from coxcent.scalar import (
     MAX_FIELD_DEGREE,
     FieldContext,
@@ -436,3 +437,31 @@ def test_sign_matches_fraction_horner_and_mpmath(order, count, max_q):
         assert _fraction_sign(x.coeffs, f.min_poly, enclosure) == expected, x
     lo, hi = f._interval
     assert seed[0] <= lo < hi <= seed[1] and hi - lo < seed[1] - seed[0]
+
+
+@pytest.mark.parametrize("order,size,den", [(5, 10**6, 99), (35, 10**6, 99), (251, 9, 1)],
+                         ids=["deg2", "deg12", "deg125"])
+def test_sign_that_never_decides_raises_within_its_halving_budget(monkeypatch, order, size, den):
+    # A kernel whose enclosure always straddles zero must exhaust the halving
+    # budget of _compute_sign (|p(theta)| >= B^-(d-1)) and raise, not hang.
+    rng = random.Random(order)
+    f = FieldContext(order)
+    x = f.from_coeffs([Fraction(rng.randint(-size, size), rng.randint(1, den))
+                       for _ in range(f.degree)])
+    halvings = []
+    refine = FieldContext.refine_theta
+
+    def counted_refine(field, count):
+        halvings.append(count)
+        # budgets here: 21, 862 and 15935 halvings; fail instead of hanging
+        if len(halvings) > 100 or sum(halvings) > 20000:
+            raise RuntimeError("refinement ran past any halving budget")
+        refine(field, count)
+
+    monkeypatch.setattr(FieldContext, "refine_theta", counted_refine)
+    monkeypatch.setattr(scalar, "_scaled_horner", lambda coeffs, lo, hi: (-1, 1))
+    start = perf_counter()
+    with pytest.raises(ArithmeticError, match="narrow enough"):
+        x.sign()
+    assert perf_counter() - start < 5
+    assert halvings
