@@ -3,11 +3,21 @@
 Conventions.  Generators are 0-based ints internally (1-based only in I/O).
 The group acts through a Cartan matrix (CoxeterContext.action_coeff, chosen
 there with the smallest field that holds it): integers for labels 2, 3, 4, 6
-and infinity, so most systems live over Q, where every vector below is a
-tuple of plain ints; only other labels bring in AlgebraicScalar coordinates.
-A root is its coordinate vector over the simple-root basis; every root hit by
-group elements from the basis is entirely nonnegative or entirely nonpositive.
-Every sign is read through _sign, whichever kind of number it is given.
+and infinity, so most systems live over Q; only other labels bring in a field
+Q(theta) of degree d >= 2.  A root is its coordinate vector over the
+simple-root basis; every root hit by group elements from the basis is
+entirely nonnegative or entirely nonpositive.
+
+Flat layout.  Every Cartan entry and rho are algebraic integers, so every
+coordinate of an orbit vector or of a root column has plain-int coefficients
+in the power basis 1, theta, ..., theta^(d-1).  Inside this module such a
+vector is one flat sequence of n*d ints, coordinate t at v[t*d:(t+1)*d]; at
+d = 1 that is just the int coordinates.  A reflection is one pass over a
+precomputed integer table of the context, with no scalar object built.  The
+public edge (Root, action_coeff, act, column, reflect, inversion_set) hands
+out AlgebraicScalar coordinates at d >= 2 and plain ints at d = 1.  Every
+sign of a flat coordinate is read through CoxeterContext._coord_sign, which
+at d >= 2 asks AlgebraicScalar.sign, the one exact sign path.
 
 A group element is its ShortLex reduced word plus, once asked for, the vector
 w^-1(rho) in weight coordinates, where rho = (1, ..., 1).  Coordinate t of
@@ -56,6 +66,23 @@ def _sign(x) -> int:
     if isinstance(x, AlgebraicScalar):
         return x.sign()
     return (x > 0) - (x < 0)
+
+
+def _theta_multiples(a, field: FieldContext) -> list[tuple]:
+    """Columns of the multiplication matrix of a: a*theta^j for j < d, as int coefficients.
+
+    Each column is the previous one times theta: a shift, with the theta^d
+    term folded back through the monic minimal polynomial.
+    """
+    column = a.coeffs
+    columns = [column]
+    for _ in range(field.degree - 1):
+        top = column[-1]
+        column = (0,) + column[:-1]
+        if top:
+            column = tuple(c - top * m for c, m in zip(column, field.min_poly))
+        columns.append(column)
+    return columns
 
 
 class MixedSignRootError(ArithmeticError):
@@ -158,8 +185,20 @@ class CoxeterContext:
     any other odd m takes 2cos(pi/m) on both sides, any other even m takes
     2 + 2cos(2pi/m) for s < t and 1 for s > t.  The field is Q(2cos(pi/N)), N
     the lcm over those other labels of m (odd) or m/2 (even), and N = 1 when
-    there are none.  At field degree 1 every entry and every root or orbit
-    vector holds plain ints; only degree 2 and up use AlgebraicScalar.
+    there are none.  At field degree 1 every entry is a plain int; at degree
+    2 and up action_coeff and Root coordinates are AlgebraicScalar values.
+
+    Inside the module every vector is flat (see the module docstring), and
+    each generator s has two integer tables, built here from the d x d
+    matrices M_st of multiplication by a_st, column j holding a_st*theta^j.
+    _weight_table[s] adds a_st*v_s into each neighbour coordinate t: one entry
+    (s*d + j, pairs) per source coefficient j that some M_st uses, pairs
+    holding (t*d + k, M_st[k][j]); a source that is zero is skipped at walk
+    time.  At d = 1 it is just the (t, a_st) pairs of the one source v[s].
+    _root_table[s] groups the root reflection the same way: one entry per
+    source t*d + j of a neighbour block, pairs (s*d + k, -M_st[k][j]).  Both
+    walks make the table pass, then negate block s.
+
     Immutable and shareable apart from two memos keyed by generator subset,
     which only ever gain entries: _longest_memo (involution.longest_element)
     and _minus_one_memo (involution.is_minus_one_type).
@@ -175,7 +214,8 @@ class CoxeterContext:
                 if m != INFINITE_BOND and k not in _RATIONAL_TWO_COS:
                     order = order * k // gcd(order, k)
         field = self.field = FieldContext(order)
-        scalar = int if field.degree == 1 else field.rational
+        self._degree = d = field.degree
+        scalar = int if d == 1 else field.rational
         coeff = []
         neighbors = []
         for s in range(n):
@@ -200,9 +240,33 @@ class CoxeterContext:
         self.action_coeff = tuple(coeff)
         self.neighbors = tuple(neighbors)
 
-        self._rho = (scalar(1),) * n
+        if d == 1:  # one coefficient per coordinate; weights keep the (t, a_st) pairs of v[s]
+            self._weight_table = tuple(
+                tuple((t, coeff[s][t]) for t in neighbors[s]) for s in range(n)
+            )
+            self._root_table = tuple(
+                tuple((t, ((s, -coeff[s][t]),)) for t in neighbors[s]) for s in range(n)
+            )
+        else:
+            columns = {(s, t): _theta_multiples(coeff[s][t], field)
+                       for s in range(n) for t in neighbors[s]}
+            self._weight_table = tuple(
+                tuple((s * d + j, pairs) for j in range(d)
+                      if (pairs := tuple((t * d + k, c) for t in neighbors[s]
+                                         for k, c in enumerate(columns[s, t][j]) if c)))
+                for s in range(n)
+            )
+            self._root_table = tuple(
+                tuple((t * d + j, pairs) for t in neighbors[s] for j in range(d)
+                      if (pairs := tuple((s * d + k, -c)
+                                         for k, c in enumerate(columns[s, t][j]) if c)))
+                for s in range(n)
+            )
+
+        unit = (1,) + (0,) * (d - 1)
+        self._rho = unit * n
         self._simple_roots = tuple(
-            tuple(scalar(int(t == s)) for t in range(n)) for s in range(n)
+            (0,) * (s * d) + unit + (0,) * ((n - 1 - s) * d) for s in range(n)
         )
         self._identity = GroupElement(self, (), self._rho)
         self._generators = tuple(GroupElement(self, (s,)) for s in range(n))
@@ -215,20 +279,53 @@ class CoxeterContext:
 
         return cls(matrix_for_name(name))
 
-    # --- weight vectors (lists of scalars, updated in place) ---
+    # --- flat vectors: weights, updated in place ---
 
-    def _reflect_weights(self, v: list, s: int) -> None:
-        x = v[s]
-        coeffs = self.action_coeff[s]
-        for t in self.neighbors[s]:
-            v[t] = v[t] + coeffs[t] * x
-        v[s] = -x
+    def _reflect_weights(self, v: list, letters) -> None:
+        """Apply the simple reflections of `letters` to the weights v, first letter first."""
+        table = self._weight_table
+        if self._degree == 1:  # the one source v[s], as (t, a_st) pairs
+            for s in letters:
+                x = v[s]
+                for t, a in table[s]:
+                    v[t] = v[t] + a * x
+                v[s] = -x
+        else:
+            self._walk(v, letters, table)
+
+    def _walk(self, v: list, letters, table) -> None:
+        """For each letter s: add the groups of table[s] into v, then negate block s."""
+        d = self._degree
+        for s in letters:
+            for src, pairs in table[s]:
+                x = v[src]
+                if x:
+                    for tgt, c in pairs:
+                        v[tgt] = v[tgt] + c * x
+            for k in range(s * d, s * d + d):
+                v[k] = -v[k]
+
+    def _coord_sign(self, v, t: int) -> int:
+        """Exact sign of coordinate t of a flat vector."""
+        d = self._degree
+        if d == 1:
+            x = v[t]
+            return (x > 0) - (x < 0)
+        return AlgebraicScalar(self.field, tuple(v[t * d : t * d + d])).sign()
+
+    def _negative_coords(self, v) -> frozenset[int]:
+        return frozenset(t for t in range(self.rank) if self._coord_sign(v, t) < 0)
+
+    def _is_minus_one(self, v, t: int) -> bool:
+        """Whether coordinate t of a flat vector is exactly -1."""
+        d = self._degree
+        b = t * d
+        return v[b] == -1 and not any(v[b + 1 : b + d])
 
     def _orbit(self, word) -> list:
         """w(rho) for w the product of the word (letters act right to left)."""
         v = list(self._rho)
-        for s in reversed(word):
-            self._reflect_weights(v, s)
+        self._reflect_weights(v, reversed(word))
         return v
 
     def _peel(self, v: list) -> "GroupElement":
@@ -239,19 +336,19 @@ class CoxeterContext:
         """
         n = self.rank
         neighbors = self.neighbors
-        signs = [None] * n  # sign of v[t], None until read or after v[t] changed
+        signs = [None] * n  # sign of coordinate t, None until read or after it changed
         word = []
         while True:
             for s in range(n):
                 sign = signs[s]
                 if sign is None:
-                    sign = signs[s] = _sign(v[s])
+                    sign = signs[s] = self._coord_sign(v, s)
                 if sign < 0:
                     break
             else:
                 return GroupElement(self, tuple(word))
             word.append(s)
-            self._reflect_weights(v, s)
+            self._reflect_weights(v, (s,))
             signs[s] = 1
             for t in neighbors[s]:
                 signs[t] = None
@@ -259,21 +356,34 @@ class CoxeterContext:
     def _normal_form(self, word) -> "GroupElement":
         return self._peel(self._orbit(word))
 
-    # --- roots ---
+    # --- roots: flat inside, Root with scalar coordinates at the edge ---
 
-    def _reflect_coords(self, s: int, coords: tuple) -> tuple:
-        coeffs = self.action_coeff[s]
-        acc = -coords[s]
-        for t in self.neighbors[s]:
-            if coords[t]:
-                acc = acc + coeffs[t] * coords[t]
-        return coords[:s] + (acc,) + coords[s + 1 :]
+    def _act(self, word, g) -> list:
+        """w(gamma), flat, for gamma flat and w the product of the word."""
+        g = list(g)
+        self._walk(g, reversed(word), self._root_table)
+        return g
 
-    def _act(self, word, coords: tuple) -> tuple:
-        """Coordinates of w(gamma) for w the product of the word."""
-        for s in reversed(word):
-            coords = self._reflect_coords(s, coords)
-        return coords
+    def _flat(self, coords) -> list:
+        """Root coordinates, numbers or scalars of this field, as one flat list."""
+        out = []
+        for c in coords:
+            if not isinstance(c, AlgebraicScalar):
+                c = self.field.rational(c)
+            elif c.field is not self.field:
+                raise ValueError("scalars from different field contexts")
+            out.extend(c.coeffs)
+        return out
+
+    def _root(self, g) -> Root:
+        """The Root of a flat vector, with AlgebraicScalar coordinates at d >= 2."""
+        d = self._degree
+        if d == 1:
+            return Root(self, tuple(g))
+        field = self.field
+        return Root(self, tuple(
+            AlgebraicScalar(field, tuple(g[b : b + d])) for b in range(0, len(g), d)
+        ))
 
     # --- public construction ---
 
@@ -284,7 +394,7 @@ class CoxeterContext:
         return self._generators[s]
 
     def simple_root(self, s: int) -> Root:
-        return Root(self, self._simple_roots[s])
+        return self._root(self._simple_roots[s])
 
     def element(self, word) -> "GroupElement":
         """ShortLex normal form of an arbitrary generator sequence."""
@@ -307,7 +417,7 @@ class CoxeterContext:
         return self.orbit_key(word) == element.orbit_key()
 
     def orbit_key(self, word) -> tuple:
-        """x^-1(rho) for x the product of an arbitrary word: x's GroupElement.orbit_key()."""
+        """x^-1(rho), flat, for x the product of an arbitrary word: x's GroupElement.orbit_key()."""
         return tuple(self._orbit(word[::-1]))
 
     # --- descents of unreduced words; `orbit` is always x^-1(rho) ---
@@ -320,15 +430,15 @@ class CoxeterContext:
         negated simple (x(alpha_s) = -alpha_s) only if it is -1: the screen is
         necessary for D = N, with no column read.
         """
-        descents = frozenset(s for s, c in enumerate(orbit) if _sign(c) < 0)
-        return descents, all(orbit[s] == -1 for s in descents)
+        descents = self._negative_coords(orbit)
+        return descents, all(self._is_minus_one(orbit, s) for s in descents)
 
     def _negates(self, word, orbit, s: int) -> bool:
         """Whether x(alpha_s) = -alpha_s; the column is walked only past the height screen."""
-        if orbit[s] != -1:
+        if not self._is_minus_one(orbit, s):
             return False
         alpha = self._simple_roots[s]
-        return self._act(word, alpha) == tuple(-c for c in alpha)
+        return self._act(word, alpha) == [-c for c in alpha]
 
     def least_unnegated_descent(self, word, orbit, descents) -> int | None:
         """min(D \\ N) for x the product of the word, or None when D = N.
@@ -348,7 +458,7 @@ class CoxeterContext:
         is already known (GroupElement.orbit_key()).
         """
         v = self.orbit_key(word) if orbit is None else orbit
-        descents = self.screened_descents(v)[0]
+        descents = self._negative_coords(v)
         return descents, frozenset(s for s in descents if self._negates(word, v, s))
 
     def greedy_longest(self, subset) -> "GroupElement":
@@ -363,16 +473,16 @@ class CoxeterContext:
         gens = sorted(subset)
         v = list(self._rho)
         while True:
-            s = next((t for t in gens if _sign(v[t]) > 0), None)
+            s = next((t for t in gens if self._coord_sign(v, t) > 0), None)
             if s is None:
                 return self._peel(v)
-            self._reflect_weights(v, s)
+            self._reflect_weights(v, (s,))
 
     def reflect(self, s: int, root: Root) -> Root:
         """Apply the simple reflection s to a root (involutive)."""
         if root.context is not self:
             raise ValueError("root from a different context")
-        return Root(self, self._reflect_coords(s, root.coords))
+        return self._root(self._act((s,), self._flat(root.coords)))
 
     def __repr__(self):
         return f"CoxeterContext(rank {self.rank}, field {self.field!r})"
@@ -413,7 +523,7 @@ class GroupElement:
 
     def column(self, t: int) -> Root:
         ctx = self.context
-        return Root(ctx, ctx._act(self.word, ctx._simple_roots[t]))
+        return ctx._root(ctx._act(self.word, ctx._simple_roots[t]))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         ctx = self.context
@@ -434,7 +544,7 @@ class GroupElement:
         The result's orbit_key() is exact whatever the word.
         """
         v = list(self._inverse_rho())
-        self.context._reflect_weights(v, s)  # (w s)^-1 (rho) = s(w^-1(rho))
+        self.context._reflect_weights(v, (s,))  # (w s)^-1 (rho) = s(w^-1(rho))
         return GroupElement(self.context, self.word + (s,), tuple(v))
 
     def orbit_key(self) -> tuple:
@@ -446,16 +556,15 @@ class GroupElement:
         ctx = self.context
         if not isinstance(root, Root) or root.context is not ctx:
             raise ValueError("root from a different context")
-        return Root(ctx, ctx._act(self.word, root.coords))
+        return ctx._root(ctx._act(self.word, ctx._flat(root.coords)))
 
     def right_descents(self) -> frozenset[int]:
         """Generators s with length(w s) < length(w), i.e. w * alpha_s negative."""
-        v = self._inverse_rho()
-        return frozenset(s for s in range(self.context.rank) if _sign(v[s]) < 0)
+        return self.context._negative_coords(self._inverse_rho())
 
     def left_descents(self) -> frozenset[int]:
-        v = self.context._orbit(self.word)
-        return frozenset(s for s in range(self.context.rank) if _sign(v[s]) < 0)
+        ctx = self.context
+        return ctx._negative_coords(ctx._orbit(self.word))
 
     def inversion_set(self) -> frozenset[Root]:
         """The positive roots this element sends negative; size equals the length.
@@ -466,7 +575,7 @@ class GroupElement:
         ctx = self.context
         word = self.word
         roots = frozenset(
-            Root(ctx, ctx._act(word[j + 1 :][::-1], ctx._simple_roots[s]))
+            ctx._root(ctx._act(word[j + 1 :][::-1], ctx._simple_roots[s]))
             for j, s in enumerate(word)
         )
         if len(roots) != len(word):

@@ -25,7 +25,7 @@ normalizer: Z_W(w) = u^-1 N_W(W_I) u (verified on finite groups in .finite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import catalog
 from .group import CoxeterContext, GroupElement, word_to_string
@@ -81,18 +81,18 @@ def is_minus_one_type(ctx: CoxeterContext, subset) -> bool:
     return cached
 
 
-@dataclass(frozen=True)
-class InvolutionCertificate:
+class InvolutionCertificate(namedtuple("InvolutionCertificate", ("subset", "conjugator", "steps"))):
     """A pair (I, u) with u w u^-1 the longest element of the (-1)-type parabolic on I.
 
+    subset is I, a frozenset of generators; conjugator is u, a GroupElement.
     `steps` records the conjugating generators in the order they were applied;
     u is their product in reverse order, so len(u.word) <= len(steps) and each
-    step shortened the running conjugate by exactly 2.
+    step shortened the running conjugate by exactly 2.  An immutable named
+    tuple: collections is imported anyway, where dataclasses would pull in
+    inspect and ast, about 1 MB of resident memory for every process.
     """
 
-    subset: frozenset[int]
-    conjugator: GroupElement
-    steps: tuple[int, ...]
+    __slots__ = ()
 
     def target(self) -> GroupElement:
         return longest_element(self.conjugator.context, self.subset)
@@ -135,15 +135,17 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
     a column is walked only for the members of N below it (and for s when
     v_s = -1).
 
+    The stop test also decides w^2 = 1, with no walk of its own: x = rho_D is
+    an involution and w = c x c^-1 for c = s_1..s_k, so w is one too.  An
+    involution passes it within length(w)/2 steps and a non-involution never
+    does, so the loop is capped there.  Only at the cap, or if D = N fails the
+    stop test (which the argument above rules out), is w*w normalised: a
+    non-involution raises ValueError, an involution an AssertionError.
+
     A conjugation changes the length by at most 2, so reaching rho_I with
     length(rho_I) = length(w) - 2k proves that every step shortened by 2.
     """
     ctx = w.context
-    if not is_involution(w):
-        square = w * w
-        raise ValueError(
-            f"not an involution: square has normal form '{word_to_string(square.word)}'"
-        )
     steps = []
     word, orbit = w.word, w.orbit_key()
     while True:
@@ -152,9 +154,11 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
             rho = longest_element(ctx, descents)
             if orbit == rho.orbit_key():
                 break
+        if len(steps) >= w.length // 2:
+            _reject(w, "descent did not reach a parabolic longest element within length/2 steps")
         s = ctx.least_unnegated_descent(word, orbit, descents)
         if s is None:
-            raise AssertionError("descents all negated, yet the conjugate is not their longest element")
+            _reject(w, "descents all negated, yet the conjugate is not their longest element")
         steps.append(s)
         word = (s,) + word + (s,)
         orbit = ctx.orbit_key(word)
@@ -163,3 +167,13 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
     return InvolutionCertificate(
         subset=descents, conjugator=ctx.element(steps[::-1]), steps=tuple(steps)
     )
+
+
+def _reject(w: GroupElement, failure: str):
+    """Raise ValueError if w is not an involution, else AssertionError(failure)."""
+    square = w * w
+    if not square.is_identity:
+        raise ValueError(
+            f"not an involution: square has normal form '{word_to_string(square.word)}'"
+        )
+    raise AssertionError(failure)

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from coxcent import (
+    AlgebraicScalar,
+    CoxeterContext,
     MixedSignRootError,
     Root,
     word_from_string,
@@ -264,3 +266,91 @@ def test_word_string_roundtrip():
         word_from_string("1 x")
     with pytest.raises(ValueError):
         word_from_string("0 1")
+
+
+class ScalarWalk:
+    """Test oracle: the weight and root reflections on AlgebraicScalar (or int)
+    coordinates, read from the public action_coeff, with no flat table."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.n = ctx.rank
+        self.one = 1 if ctx.field.degree == 1 else ctx.field.one
+
+    def orbit(self, word):
+        """w(rho) for w the product of the word."""
+        v = [self.one] * self.n
+        for s in reversed(word):
+            x = v[s]
+            for t in range(self.n):
+                if t != s:
+                    v[t] = v[t] + self.ctx.action_coeff[s][t] * x
+            v[s] = -x
+        return v
+
+    def act(self, word, coords):
+        g = list(coords)
+        for s in reversed(word):
+            acc = -g[s]
+            for t in range(self.n):
+                if t != s:
+                    acc = acc + self.ctx.action_coeff[s][t] * g[t]
+            g[s] = acc
+        return tuple(g)
+
+    def sign(self, x):
+        return x.sign() if isinstance(x, AlgebraicScalar) else (x > 0) - (x < 0)
+
+    def flat(self, v):
+        return tuple(c for x in v for c in (x.coeffs if isinstance(x, AlgebraicScalar) else (x,)))
+
+    def normal_form(self, word):
+        v, out = self.orbit(word), []
+        while (s := next((t for t in range(self.n) if self.sign(v[t]) < 0), None)) is not None:
+            out.append(s)
+            x = v[s]
+            for t in range(self.n):
+                if t != s:
+                    v[t] = v[t] + self.ctx.action_coeff[s][t] * x
+            v[s] = -x
+        return tuple(out)
+
+
+ORACLE_SYSTEMS = {
+    "H3": 24, "H4": 24, "I2(8)": 24, "I2(35)": 40, "E8": 30, "Atilde4": 24,
+    "deg12": 8, "inf4": 10,
+}
+ORACLE_MATRICES = {
+    "deg12": ((1, 5, 2, 2), (5, 1, 7, 2), (2, 7, 1, 5), (2, 2, 5, 1)),
+    "inf4": ((1, 0, 3, 2), (0, 1, 3, 4), (3, 3, 1, 0), (2, 4, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+def test_flat_vectors_match_scalar_walk(system):
+    # the flat integer tables against a walk on the public Cartan entries:
+    # coefficients, signs and normal forms of orbit vectors, and root images
+    spec = ORACLE_MATRICES.get(system)
+    ctx = CoxeterContext(spec) if spec else CoxeterContext.from_name(system)
+    oracle = ScalarWalk(ctx)
+    rng = random.Random(f"flat-{system}")
+    max_len = ORACLE_SYSTEMS[system]
+    words = [tuple(rng.randrange(ctx.rank) for _ in range(rng.randrange(max_len + 1)))
+             for _ in range(20)]
+    for word in words:
+        inverse_orbit = oracle.orbit(word[::-1])
+        key = ctx.orbit_key(word)
+        assert key == oracle.flat(inverse_orbit)
+        assert all(type(c) is int for c in key)
+        for t in range(ctx.rank):
+            assert ctx._coord_sign(key, t) == oracle.sign(inverse_orbit[t])
+            assert ctx._is_minus_one(key, t) == (inverse_orbit[t] == -1)
+        w = ctx.element(word)
+        assert w.word == oracle.normal_form(word)
+        assert w.orbit_key() == key
+        assert w.right_descents() == {t for t in range(ctx.rank)
+                                      if oracle.sign(inverse_orbit[t]) < 0}
+        for t in range(ctx.rank):
+            alpha = ctx.simple_root(t).coords
+            assert w.column(t).coords == oracle.act(w.word, alpha)
+            assert ctx.reflect(t, w.column(t)).coords == oracle.act((t,) + w.word, alpha)

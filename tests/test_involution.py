@@ -14,6 +14,7 @@ from coxcent import (
     longest_element,
     negated_simples,
     word_from_string,
+    word_to_string,
 )
 
 # Two non-catalog systems: infinite bonds with labels 3 and 4 (field degree
@@ -174,6 +175,37 @@ def test_certificate_rejects_non_involutions(context_of):
     ctx = context_of("A2")
     with pytest.raises(ValueError, match="not an involution"):
         involution_certificate(el(ctx, "1 2"))
+
+
+@pytest.mark.parametrize("system", ["H3", "B3", "Atilde2", "inf4"])
+def test_certificate_decides_involution_on_every_short_element(system):
+    # the descent decides w^2 = 1 on its own: the square's ValueError exactly
+    # for the non-involutions, a certificate that verifies for the rest
+    ctx = fresh_context(system)
+    layer = [ctx.identity()]
+    elements = list(layer)
+    for _ in range(6):
+        seen = {}
+        for g in layer:
+            for s in range(ctx.rank):
+                h = g * ctx.generator(s)
+                if h.length > g.length:
+                    seen.setdefault(h.word, h)
+        layer = list(seen.values())
+        elements += layer
+    rejected = 0
+    for w in elements:
+        square = w * w
+        if square.is_identity:
+            assert involution_certificate(w).verify(w)
+            continue
+        with pytest.raises(ValueError) as caught:
+            involution_certificate(w)
+        assert str(caught.value) == (
+            f"not an involution: square has normal form '{word_to_string(square.word)}'"
+        )
+        rejected += 1
+    assert 0 < rejected < len(elements)
 
 
 def test_certificate_invariants_on_all_involutions(group_of, context_of):
