@@ -14,6 +14,7 @@ I2(m) for finite m.  Label 0 encodes an infinite bond throughout.
 from __future__ import annotations
 
 import re
+from math import factorial
 
 INFINITE = 0
 
@@ -223,3 +224,35 @@ def is_finite_diagram(matrix, subset) -> bool:
         identify_component(matrix, comp) is not None
         for comp in diagram_components(matrix, subset)
     )
+
+
+_EXCEPTIONAL_ORDERS = {("E", 6): 51_840, ("E", 7): 2_903_040, ("E", 8): 696_729_600,
+                       ("F", 4): 1_152, ("H", 3): 120, ("H", 4): 14_400}
+
+
+def _component_order(family: str, n: int) -> int:
+    if family == "A":
+        return factorial(n + 1)
+    if family == "B":
+        return 2**n * factorial(n)
+    if family == "D":
+        return 2 ** (n - 1) * factorial(n)
+    if family == "I2":
+        return 2 * n
+    return _EXCEPTIONAL_ORDERS[family, n]
+
+
+def group_order(matrix) -> int | None:
+    """|W| for a Coxeter matrix of finite type, None if some component is not finite.
+
+    The product over the connected components of their classical orders:
+    (n+1)! for A_n, 2^n n! for B_n, 2^(n-1) n! for D_n, 2m for I2(m), and
+    the table above for E6, E7, E8, F4, H3 and H4.
+    """
+    order = 1
+    for comp in diagram_components(matrix, range(len(matrix))):
+        found = identify_component(matrix, comp)
+        if found is None:
+            return None
+        order *= _component_order(*found)
+    return order

@@ -30,12 +30,7 @@ from .finite import (
     verify_suite,
 )
 from .group import CoxeterContext, word_from_string, word_to_string
-from .involution import (
-    involution_certificate,
-    is_involution,
-    is_minus_one_type,
-    longest_element,
-)
+from .involution import involution_certificate, is_minus_one_type, longest_element
 
 
 def _positive_int(text: str) -> int:
@@ -149,9 +144,10 @@ def cmd_reduce(ctx, system, word) -> tuple[dict, int]:
 
 def cmd_involution_nf(ctx, system, word) -> tuple[dict, int]:
     el = ctx.element(word)
-    if not is_involution(el):
+    try:
+        cert = involution_certificate(el)
+    except ValueError:  # the descent decides w^2 = 1; this is its only ValueError
         return _not_an_involution(system, el)
-    cert = involution_certificate(el)
     u = cert.conjugator
     rho = longest_element(ctx, cert.subset)
     checks = {
@@ -172,9 +168,10 @@ def cmd_involution_nf(ctx, system, word) -> tuple[dict, int]:
 
 def cmd_centralizer(ctx, system, word, cap) -> tuple[dict, int]:
     el = ctx.element(word)
-    if not is_involution(el):
+    try:
+        cert = involution_certificate(el)
+    except ValueError:  # the descent decides w^2 = 1; this is its only ValueError
         return _not_an_involution(system, el)
-    cert = involution_certificate(el)
     if not cert.verify(el):
         return {"system": system, "error": "certificate failed re-verification"}, 1
     try:

@@ -1,28 +1,35 @@
-"""Brute-force oracles on finite Coxeter groups.
+"""Finite Coxeter groups: enumeration, and the oracles that verify certificates.
 
 Full enumeration is a ShortLex breadth-first search over right multiplication
 by generators; it never multiplies or peels, because the first time it reaches
-an element it already holds that element's normal form.  The result, a
-FiniteGroup, lists the elements in ShortLex order and alone carries the step
-table (index, generator) -> index, after which centralizers, normalizers,
-conjugacy orbits and set-wise identity checks are pure index walks:
-multiplying by a known element costs one table lookup per letter of its word.  In particular the involutions are the g with walk(g, word(g)) at
-the identity, found with no normal form.  Sorted indices are ShortLex order,
-so the plain ElementSets the oracles return need no sort key.
+an element it already holds that element's normal form.  It reads |W| from
+the catalog first, so a group over the cap is refused before any element is
+built.  The result, a FiniteGroup, lists the elements in ShortLex order and
+alone carries the step table steps[x][s] = x s.  Two more tables are derived
+from it once per group, on first use:
+
+* inv[x], the index of x^-1, walked from the reversed words and checked to be
+  an involutive permutation fixing the identity;
+* conj[s][x] = s x s = steps[inv[steps[inv[x]][s]]][s], n |W| entries.
+
+The verify path runs on sorted index lists through these tables, and once
+inv is built no oracle on it walks a word.  The involutions are the x with inv[x] = x.  N_W(W_I) comes
+from labels of the left cosets x W_I (`_normalizer`).  The class engine
+(`_class_centralizer`) makes one pass over W per conjugacy class along the
+BFS tree, d[g] = g^-1 rep g = conj[s][d[parent]], whose fibre at rep is
+Z_W(rep), and gets Z_W(c) = g^-1 Z_W(rep) g for the other members c; conjugating
+an index set by a word costs one conj lookup per letter and member.  Sorted
+indices are ShortLex order, so an ElementSet is built only where a public
+function hands one back, and it needs no sort key.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
-Z_W(w) = u^-1 N_W(W_I) u, and that Z_W(rho_I) = N_W(W_I) for every
-(-1)-type subset I.
-
-Two centralizers compute the same set.  `centralizer` tests g w = w g for
-every g, two walks over all of W per involution; it is the oracle the tests,
-the prop2 suite and the CLI's brute_force_match field use.  `class_centralizer`
-makes one pass over W per conjugacy class: g -> g w g^-1 has the cosets
-t_c Z_W(w) as fibres, so Z_W(c) = t_c Z_W(w) t_c^-1 for every member c, at
-|Z_W(w)| walks each.  The main suite uses it, because it brings E6 from one
-pass per involution (892) to one per class (5).  Neither uses the certificate
-or the normalizer, so the main check stays independent of what it checks.
+Z_W(w) = u^-1 N_W(W_I) u (the main suite), and that Z_W(rho_I) = N_W(W_I)
+for every (-1)-type subset I (prop2).  Both suites take Z_W from the class
+engine, which reads neither the certificate nor the normalizer, so the check
+stays independent of what it checks.  The brute-force `centralizer`, which
+tests g w = w g for every g with two walks over all of W, is kept as the
+oracle of the tests and of the CLI's brute_force_match field.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+from . import catalog
 from .group import CoxeterContext, GroupElement, word_to_string
 from .involution import (
     InvolutionCertificate,
     involution_certificate,
-    is_finite_parabolic,
     is_minus_one_type,
     longest_element,
 )
@@ -57,8 +64,9 @@ class InfiniteGroupError(EnumerationCapExceeded):
 class ElementSet:
     """A duplicate-free collection of group elements keyed by normal-form word.
 
-    The oracles return centralizers, normalizers and conjugacy classes as
-    plain ElementSets, members in ShortLex order; only a FiniteGroup walks.
+    The public oracles return centralizers, normalizers and conjugacy classes
+    as plain ElementSets, members in ShortLex order; only a FiniteGroup has
+    tables.
     """
 
     def __init__(self, context: CoxeterContext, elements):
@@ -93,15 +101,24 @@ class ElementSet:
 
 class FiniteGroup(ElementSet):
     """The whole group from enumerate_group: index order is ShortLex order, and
-    the step table gives the index of elements[i] * s."""
+    the step table gives the index of elements[i] * s.
+
+    The inverse and conjugation tables are derived from the step table on
+    first use and kept; the memos hold index lists, one per parabolic subset
+    and one per conjugacy class.
+    """
 
     def __init__(self, context: CoxeterContext, elements, steps):
         super().__init__(context, elements)
         self._steps = steps
-        self._inverse_idx = None
+        self._inv: list[int] | None = None
+        self._conj: list[list[int]] | None = None
+        # subset -> N_W(W_I) as sorted indices; the public ElementSets apart,
+        # so normalizer() hands back the same object every time
+        self._normalizer_idx: dict[frozenset, list[int]] = {}
         self._normalizer_memo: dict[frozenset, ElementSet] = {}
-        # member index -> (Z_W(rep) as indices, transversal c -> t_c), one
-        # shared pair per conjugacy class that class_centralizer has met
+        # member index -> (Z_W(rep) as indices, transversal c -> g with
+        # g^-1 rep g = c), one shared pair per conjugacy class met so far
         self._class_memo: dict[int, tuple[list[int], dict[int, int]]] = {}
 
     def walk(self, start: int, word) -> int:
@@ -112,12 +129,44 @@ class FiniteGroup(ElementSet):
         return start
 
     def inverse_index(self, i: int) -> int:
-        if self._inverse_idx is None:
-            inv = [0] * len(self.elements)
-            for j, el in enumerate(self.elements):
-                inv[j] = self.walk(0, el.word[::-1])
-            self._inverse_idx = inv
-        return self._inverse_idx[i]
+        return self._inverses()[i]
+
+    def _inverses(self) -> list[int]:
+        """inv[x], the index of elements[x]^-1, walked once from the reversed words.
+
+        Checked to be an involutive permutation fixing the identity: the conj
+        table is built from it, and the normalizer and the class engine read
+        conj on both sides of the sets they compare, so a wrong inverse must
+        fail here instead of agreeing with itself.
+        """
+        inv = self._inv
+        if inv is None:
+            inv = [self.walk(0, reversed(el.word)) for el in self.elements]
+            if inv[0] != 0 or any(inv[j] != i for i, j in enumerate(inv)):
+                raise AssertionError("inverse table is not an involution fixing the identity")
+            self._inv = inv
+        return inv
+
+    def _conjugation(self) -> list[list[int]]:
+        """conj[s][x], the index of s x s: (x^-1 s)^-1 s, four lookups per entry."""
+        conj = self._conj
+        if conj is None:
+            steps, inv = self._steps, self._inverses()
+            conj = self._conj = [
+                [steps[inv[steps[y][s]]][s] for y in inv] for s in range(self.context.rank)
+            ]
+        return conj
+
+    def _conjugate(self, indices, word) -> list[int]:
+        """The indices of u^-1 x u for x in `indices`, u the product of the word.
+
+        u^-1 x u = s_m..s_1 x s_1..s_m: one conj lookup per letter and member.
+        """
+        conj = self._conjugation()
+        for s in word:
+            table = conj[s]
+            indices = [table[x] for x in indices]
+        return indices
 
 
 def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> FiniteGroup:
@@ -130,13 +179,18 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     ShortLex-least word word(g) + (s,) among all ways to reach h from the
     previous layer, which is the normal form of h (a prefix of a normal form
     is a normal form).  New elements therefore take word(g) + (s,) as is,
-    and are recognised by their orbit key.  Raises EnumerationCapExceeded as
-    soon as more than `cap` elements appear, and its subclass
-    InfiniteGroupError before building any element when the diagram is not
-    of finite type.
+    and are recognised by their orbit key.
+
+    |W| is read from the catalog first (catalog.group_order), so no element
+    is built for a group that is refused: InfiniteGroupError when the
+    diagram is not of finite type, EnumerationCapExceeded when |W| > cap.
+    The BFS must then reach exactly |W| elements.
     """
-    if not is_finite_parabolic(ctx, range(ctx.rank)):
+    order = catalog.group_order(ctx.matrix)
+    if order is None:
         raise InfiniteGroupError(cap)
+    if order > cap:
+        raise EnumerationCapExceeded(cap)
     n = ctx.rank
     identity = ctx.identity()
     elements = [identity]
@@ -154,8 +208,6 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
             key = h.orbit_key()
             j = index.get(key)
             if j is None:
-                if len(elements) >= cap:
-                    raise EnumerationCapExceeded(cap)
                 j = len(elements)
                 index[key] = j
                 elements.append(h)
@@ -163,12 +215,19 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
                 queue.append(j)
             row[s] = j
             steps[j][s] = i  # (g s) s = g
+    if len(elements) != order:
+        raise AssertionError(f"enumerated {len(elements)} elements, the catalog order is {order}")
     return FiniteGroup(ctx, elements, steps)
+
+
+def _element_set(group: FiniteGroup, indices) -> ElementSet:
+    return ElementSet(group.context, (group.elements[i] for i in indices))
 
 
 def involutions(group: FiniteGroup) -> list[GroupElement]:
     """The g in the group with g g = 1, identity included, in ShortLex order."""
-    return [el for i, el in enumerate(group.elements) if group.walk(i, el.word) == 0]
+    inv = group._inverses()
+    return [el for i, el in enumerate(group.elements) if inv[i] == i]
 
 
 def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
@@ -183,118 +242,127 @@ def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     return ElementSet(group.context, members)
 
 
-def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
-    """Z_W(w) as t_c Z_W(rep) t_c^-1, from one pass over W per conjugacy class.
+def _class_centralizer(group: FiniteGroup, k: int) -> list[int]:
+    """Z_W(elements[k]) as sorted indices, from one pass over W per conjugacy class.
 
-    The first member of a class asked for becomes its rep.  Its pass walks
-    c = g rep g^-1 for every g in index order: the fibre c == rep is
-    Z_W(rep), and the first g seen for each c is t_c, the ShortLex-least
-    element with t_c rep t_c^-1 = c.  Only that pair is kept, under every
-    member's index; each later member c costs |Z_W(rep)| walks.  Same set as
-    `centralizer`, in ShortLex order.
+    The first member of a class asked for becomes its rep.  Its pass runs
+    along the BFS tree: g = p s with s the last letter of g and p = g s its
+    parent, which comes earlier, so d[g] = g^-1 rep g = s d[p] s is one conj
+    lookup.  The fibre d == rep is Z_W(rep), and the first g in index order
+    with d[g] = c is kept as c's transversal element.  Only that pair is kept,
+    under every member's index; a later member c costs |Z_W(rep)| lookups
+    per letter of its transversal element g, as Z_W(c) = g^-1 Z_W(rep) g.
     """
-    k = group.index_of(w)
     memo = group._class_memo
     found = memo.get(k)
     if found is None:
-        steps = group._steps
-        word_w = w.word
-        z: list[int] = []
-        transversal: dict[int, int] = {}
-        for i, g in enumerate(group.elements):
-            c = i
-            for s in word_w:
-                c = steps[c][s]
-            for s in reversed(g.word):
-                c = steps[c][s]
-            if c == k:
-                z.append(i)
-            if c not in transversal:
-                transversal[c] = i
+        steps, elements = group._steps, group.elements
+        conj = group._conjugation()
+        d = [k] * len(elements)
+        for g in range(1, len(elements)):
+            s = elements[g].word[-1]
+            d[g] = conj[s][d[steps[g][s]]]
+        z = [g for g, c in enumerate(d) if c == k]
+        # later keys overwrite earlier ones, so walking d backwards leaves
+        # the first g for each c
+        transversal = dict(zip(reversed(d), range(len(d) - 1, -1, -1)))
         if len(z) * len(transversal) != len(group):
             raise AssertionError("|Z_W(w)| x |class of w| != |W|")
         found = (z, transversal)
         for c in transversal:
             memo[c] = found
     z, transversal = found
-    t = transversal[k]
-    t_inv_word = group.elements[t].word[::-1]
-    members = sorted(
-        group.walk(group.walk(t, group.elements[i].word), t_inv_word) for i in z
-    )
-    return ElementSet(group.context, (group.elements[i] for i in members))
+    return sorted(group._conjugate(z, group.elements[transversal[k]].word))
+
+
+def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
+    """Z_W(w) from the class engine, one pass over W per conjugacy class.
+
+    Same set as the brute-force `centralizer`, in ShortLex order; see
+    `_class_centralizer` for the pass along the BFS tree.
+    """
+    return _element_set(group, _class_centralizer(group, group.index_of(w)))
+
+
+def _normalizer(group: FiniteGroup, subset: frozenset) -> list[int]:
+    """N_W(W_I) as sorted indices, from coset labels: no word is walked.
+
+    lab[x] is the least index in the left coset x W_I.  One pass in index
+    order sets it: if some s in I has x s < x, then lab[x] = lab[x s] for the
+    first such s; otherwise x is the minimal coset representative, shorter
+    than every other member, so lab[x] = x.  Then x^-1 s x lies in W_I iff
+    s x W_I = x W_I, and s x W_I = s x s W_I as s is in I, so x^-1 is in
+    N_W(W_I) iff lab[conj[s][x]] == lab[x] for every s in I.  The normalizer
+    is closed under inverses, so the x that pass are N_W(W_I) itself.
+    """
+    found = group._normalizer_idx.get(subset)
+    if found is None:
+        steps, conj = group._steps, group._conjugation()
+        gens = sorted(subset)
+        lab = list(range(len(steps)))
+        for x, row in enumerate(steps):
+            for s in gens:
+                y = row[s]
+                if y < x:
+                    lab[x] = lab[y]
+                    break
+        found = list(range(len(steps)))
+        for s in gens:
+            table = conj[s]
+            found = [x for x in found if lab[table[x]] == lab[x]]
+        group._normalizer_idx[subset] = found
+    return found
 
 
 def normalizer(subset, group: FiniteGroup) -> ElementSet:
     """All g with g s g^-1 in the standard parabolic on `subset`, for every s there.
 
-    Membership in the parabolic is tested on the normal form: an element lies
-    in W_I iff its ShortLex word uses only letters of I.  Built once per subset.
+    Computed from the coset labels of `_normalizer`; built once per subset.
     """
     subset = frozenset(subset)
     memo = group._normalizer_memo
     found = memo.get(subset)
-    if found is not None:
-        return found
-    ctx = group.context
-    if not is_finite_parabolic(ctx, subset):
-        raise ValueError("normalizer oracle requires a finite parabolic")
-    members = []
-    for i, el in enumerate(group.elements):
-        inv_i = group.inverse_index(i)
-        inv_word = group.elements[inv_i].word
-        ok = True
-        for s in subset:
-            j = group.walk(group._steps[i][s], inv_word)
-            if not set(group.elements[j].word) <= subset:
-                ok = False
-                break
-        if ok:
-            members.append(el)
-    memo[subset] = found = ElementSet(ctx, members)
+    if found is None:
+        found = memo[subset] = _element_set(group, _normalizer(group, subset))
     return found
 
 
 def verify_centralizer_is_normalizer(subset, group: FiniteGroup) -> bool:
-    """Set equality Z_W(rho_I) = N_W(W_I) for a (-1)-type subset I."""
-    rho = longest_element(group.context, subset)
-    return centralizer(rho, group).words() == normalizer(subset, group).words()
+    """Z_W(rho_I) = N_W(W_I) for a (-1)-type subset I, as sorted index lists.
+
+    Z_W(rho_I) comes from the class engine, not from the brute-force
+    `centralizer`; the tests check that the two agree.
+    """
+    k = group.index_of(longest_element(group.context, subset))
+    return _class_centralizer(group, k) == _normalizer(group, frozenset(subset))
+
+
+def _conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> list[int]:
+    return sorted(group._conjugate(_normalizer(group, cert.subset), cert.conjugator.word))
 
 
 def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> ElementSet:
-    """u^-1 N_W(W_I) u for the certificate (I, u), by index walks, in ShortLex order."""
-    u_word = cert.conjugator.word
-    uinv_idx = group.inverse_index(group.index_of(cert.conjugator))
-    members = sorted(
-        group.walk(group.walk(uinv_idx, g.word), u_word)
-        for g in normalizer(cert.subset, group)
-    )
-    return ElementSet(group.context, (group.elements[i] for i in members))
+    """u^-1 N_W(W_I) u for the certificate (I, u), by conj lookups, in ShortLex order."""
+    return _element_set(group, _conjugated_normalizer(cert, group))
 
 
 def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
     """Set equality Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w.
 
-    Z_W(w) comes from `class_centralizer`, one pass over W per conjugacy
-    class, not from the brute-force `centralizer`, which passes over W for
-    every involution; the two give the same set, which the tests check on
-    every involution of several groups.  Neither reads the certificate.
+    Both sides are sorted index lists.  Z_W(w) comes from the class engine,
+    one pass over W per conjugacy class, not from the brute-force
+    `centralizer`; the two give the same set, which the tests check on every
+    involution of several groups.  Neither centralizer reads the certificate.
     """
     cert = involution_certificate(w)
-    return conjugated_normalizer(cert, group).words() == class_centralizer(w, group).words()
+    return _conjugated_normalizer(cert, group) == _class_centralizer(group, group.index_of(w))
 
 
-def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
-    """Conjugacy classes of involutions (identity included), with certificates.
-
-    Classes are orbits under conjugation by generators; each is listed with the
-    certificate of its ShortLex-least (so minimal-length) representative, and
-    is checked to contain the longest element named by that certificate.
-    Classes come back sorted by their representative, members in ShortLex order.
-    """
+def _involution_classes(group: FiniteGroup) -> list[tuple[list[int], InvolutionCertificate]]:
+    """The involution classes as sorted index lists, orbits on the conj table."""
     ctx = group.context
-    unassigned = {group.index_of(el) for el in involutions(group)}
-    gen_idx = [group._steps[0][s] for s in range(ctx.rank)]
+    inv, conj = group._inverses(), group._conjugation()
+    unassigned = {i for i, j in enumerate(inv) if i == j}
     out = []
     while unassigned:
         rep = min(unassigned)
@@ -302,9 +370,8 @@ def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionC
         frontier = [rep]
         while frontier:
             i = frontier.pop()
-            word_i = group.elements[i].word
-            for s, si in enumerate(gen_idx):
-                j = group._steps[group.walk(si, word_i)][s]  # s g s
+            for table in conj:
+                j = table[i]
                 if j not in orbit:
                     orbit.add(j)
                     frontier.append(j)
@@ -313,8 +380,20 @@ def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionC
         rho_idx = group.index_of(longest_element(ctx, cert.subset))
         if rho_idx not in orbit:
             raise AssertionError("class does not contain its certificate's longest element")
-        out.append((ElementSet(ctx, (group.elements[i] for i in sorted(orbit))), cert))
+        out.append((sorted(orbit), cert))
     return out
+
+
+def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
+    """Conjugacy classes of involutions (identity included), with certificates.
+
+    Classes are orbits under conjugation by generators; each is listed with
+    the certificate of its ShortLex-least (so minimal-length) representative,
+    and is checked to contain the longest element named by that certificate.
+    Classes come back sorted by their representative, members in ShortLex
+    order.
+    """
+    return [(_element_set(group, members), cert) for members, cert in _involution_classes(group)]
 
 
 def _suite_prop1(group):
@@ -353,17 +432,16 @@ def _suite_main(group):
 
 def _suite_classes(group):
     failures = []
-    classes = involution_classes(group)
+    classes = _involution_classes(group)
     seen = set()
     for members, cert in classes:
-        words = members.words()
-        if words & seen:
-            failures.append({"instance": word_to_string(members.elements[0].word),
-                             "reason": "classes overlap"})
-        seen |= words
+        instance = word_to_string(group.elements[members[0]].word)
+        if not seen.isdisjoint(members):
+            failures.append({"instance": instance, "reason": "classes overlap"})
+        seen.update(members)
         rho = longest_element(group.context, cert.subset)
-        if rho not in members:
-            failures.append({"instance": word_to_string(members.elements[0].word),
+        if group.index_of(rho) not in members:
+            failures.append({"instance": instance,
                              "reason": "class misses its certificate's longest element"})
     if sum(len(c) for c, _ in classes) != len(involutions(group)):
         failures.append({"instance": "partition", "reason": "classes do not cover all involutions"})
@@ -383,9 +461,9 @@ def verify_suite(name: str, group: FiniteGroup) -> tuple[int, list[dict]]:
     """(instances_checked, failures) of the suite `name`, one of SUITES, over the group.
 
     prop1: every involution's certificate verifies.  prop2: Z_W(rho_I) =
-    N_W(W_I) for every (-1)-type I, Z_W from the brute-force `centralizer`.
-    main: Z_W(w) = u^-1 N_W(W_I) u for every involution w, Z_W from
-    `class_centralizer`.  classes: the involution classes partition the
+    N_W(W_I) for every (-1)-type I.  main: Z_W(w) = u^-1 N_W(W_I) u for
+    every involution w.  Both take Z_W from the class engine and compare
+    sorted index lists.  classes: the involution classes partition the
     involutions and each holds its certificate's rho_I.  Failures name
     instances 1-based.
     """

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from coxcent import CoxeterContext, enumerate_group
 from coxcent.catalog import (
     catalog_matrix,
     diagram_components,
+    group_order,
     identify_component,
     is_finite_diagram,
     matrix_for_name,
@@ -112,3 +114,38 @@ def test_full_catalog_subsets_of_f4():
     assert identify_component(f4, [1, 2]) == ("I2", 4)
     assert identify_component(f4, [0, 1, 2]) == ("B", 3)
     assert identify_component(f4, [1, 2, 3]) == ("B", 3)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A6", "B2", "B3", "B5", "D4", "D5", "E6",
+                                  "F4", "H3", "H4", "I2(5)", "I2(12)", "A2xB2", "A1xA1xI2(7)"])
+def test_group_order_matches_enumeration(name):
+    # one or more systems of every catalog family; reducible ones are the
+    # product of their components
+    blocks = [matrix_for_name(part) for part in name.split("x")]
+    rank = sum(len(b) for b in blocks)
+    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[offset + i][offset:offset + len(b)] = row
+        offset += len(b)
+    assert group_order(m) == len(enumerate_group(CoxeterContext(m)))
+
+
+def test_group_order_of_e7_e8_is_the_product_of_degrees():
+    # too large to enumerate here: |W| is the product of the degrees of the
+    # basic invariants, exponents + 1
+    degrees = {"E7": (2, 6, 8, 10, 12, 14, 18), "E8": (2, 8, 12, 14, 18, 20, 24, 30)}
+    for name, ds in degrees.items():
+        product = 1
+        for d in ds:
+            product *= d
+        assert group_order(matrix_for_name(name)) == product
+
+
+def test_group_order_of_infinite_types_is_none():
+    assert group_order(matrix_for_name("Atilde2")) is None
+    assert group_order(matrix_for_name("Atilde1")) is None
+    # a finite factor does not make the product finite
+    assert group_order([[1, 3, 2], [3, 1, 2], [2, 2, 1]]) == 12
+    assert group_order([[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 0], [2, 2, 0, 1]]) is None

@@ -1,12 +1,15 @@
 """Brute-force group enumeration and the centralizer/normalizer oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from coxcent import (
+    DEFAULT_ENUMERATION_CAP,
     CoxeterContext,
     EnumerationCapExceeded,
+    GroupElement,
     InfiniteGroupError,
     centralizer,
     class_centralizer,
@@ -282,3 +285,74 @@ def test_normalizer_built_once_per_subset(context_of):
     again = normalizer((2, 0), group)
     assert again.words() == first.words()
     assert again is first
+
+
+def test_finite_group_over_cap_is_rejected_before_any_element(monkeypatch):
+    # |W(E8)| = 696,729,600 is read from the catalog: no element is built
+    def no_successor(self, s):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr(GroupElement, "successor", no_successor)
+    with pytest.raises(EnumerationCapExceeded) as info:
+        enumerate_group(CoxeterContext.from_name("E8"))
+    assert type(info.value) is EnumerationCapExceeded
+    assert info.value.cap == DEFAULT_ENUMERATION_CAP
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_group(CoxeterContext.from_name("A5"), cap=719)
+
+
+def test_cap_equal_to_the_order_enumerates(context_of):
+    assert len(enumerate_group(context_of("A5"), cap=720)) == 720
+
+
+def _walk_normalizer(subset, group):
+    """The g with g s g^-1 in W_I for each s in I, walked on words: the oracle.
+
+    g s g^-1 is walked from g s along the reversed word of g, and lies in W_I
+    iff its ShortLex word uses only letters of I.
+    """
+    subset = frozenset(subset)
+    members = []
+    for i, el in enumerate(group.elements):
+        inv_word = el.word[::-1]
+        if all(set(group.elements[group.walk(group._steps[i][s], inv_word)].word) <= subset
+               for s in subset):
+            members.append(i)
+    return members
+
+
+@pytest.mark.parametrize("name", ["H3", "B4", "A5", "D5", "F4", "A2xB2"])
+def test_normalizer_matches_walk_definition(name):
+    # every subset, not only the (-1)-type ones, on a fresh group
+    ctx = CoxeterContext(A2_X_B2) if name == "A2xB2" else CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    for k in range(ctx.rank + 1):
+        for subset in combinations(range(ctx.rank), k):
+            got = [group.index_of(g) for g in normalizer(subset, group)]
+            assert got == _walk_normalizer(subset, group), subset
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(8)"])
+def test_conjugation_table_matches_multiplication(name):
+    ctx = CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    inv, conj = group._inverses(), group._conjugation()
+    assert len(conj) == ctx.rank
+    for x, el in enumerate(group.elements):
+        assert group.elements[inv[x]] == el.inverse()
+        for s in range(ctx.rank):
+            gen = ctx.generator(s)
+            assert group.elements[conj[s][x]] == gen * el * gen
+
+
+@pytest.mark.parametrize("name", ["H3", "B4", "D4", "F4"])
+def test_prop2_class_engine_matches_brute_force(name):
+    ctx = CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    subsets = [c for k in range(1, ctx.rank + 1) for c in combinations(range(ctx.rank), k)
+               if is_minus_one_type(ctx, c)]
+    assert subsets
+    for subset in subsets:
+        rho = longest_element(ctx, subset)
+        assert class_centralizer(rho, group).words() == centralizer(rho, group).words(), subset
+        assert verify_centralizer_is_normalizer(subset, group)
