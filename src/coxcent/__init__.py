@@ -2,8 +2,10 @@
 
 For any involution w the library computes a pair (I, u) with u w u^-1 the
 longest element of a (-1)-type standard parabolic W_I, so that
-Z_W(w) = u^-1 N_W(W_I) u; on finite groups the identity is verified against
-brute-force centralizers and normalizers.  All arithmetic is exact.
+Z_W(w) = u^-1 N_W(W_I) u.  On finite groups the identity is verified by
+exhaustion, on index tables over the enumerated group: centralizers from one
+pass per conjugacy class, normalizers from coset labels.  All arithmetic is
+exact.
 """
 
 from .scalar import AlgebraicScalar, FieldContext, FieldDegreeError

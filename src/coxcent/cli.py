@@ -1,4 +1,4 @@
-"""coxcent: batch CLI for involution certificates and brute-force verification.
+"""coxcent: batch CLI for involution certificates and their exhaustive verification.
 
 Subcommands: reduce, involution-nf, centralizer, verify.  A system is chosen
 with --type NAME (catalog grammar: A<n>, B<n>, D<n>, E6|E7|E8, F4, H3|H4,
@@ -187,7 +187,7 @@ def cmd_centralizer(ctx, system, word, cap) -> tuple[dict, int]:
         }
         return doc, 1
     conjugated = conjugated_normalizer(cert, group)
-    match = conjugated.words() == centralizer(el, group).words()
+    match = conjugated.indices == centralizer(el, group).indices
     doc = {
         "system": system,
         "certificate": _certificate_doc(cert),

@@ -12,15 +12,17 @@ from it once per group, on first use:
   an involutive permutation fixing the identity;
 * conj[s][x] = s x s = steps[inv[steps[inv[x]][s]]][s], n |W| entries.
 
-The verify path runs on sorted index lists through these tables, and once
-inv is built no oracle on it walks a word.  The involutions are the x with inv[x] = x.  N_W(W_I) comes
-from labels of the left cosets x W_I (`_normalizer`).  The class engine
-(`_class_centralizer`) makes one pass over W per conjugacy class along the
+A set of elements is an ElementSet: a view holding the FiniteGroup and the
+strictly increasing indices of its members.  Sorted indices are ShortLex
+order, so a view needs no sort key, and no word dict is kept, for a view or
+for W: an element's index is its word walked through the step table.  Past
+that lookup, no oracle but the brute-force `centralizer` walks a word.  The
+involutions are the x with inv[x] = x.  `normalizer` labels the left cosets x W_I.  The class engine
+(`class_centralizer`) makes one pass over W per conjugacy class along the
 BFS tree, d[g] = g^-1 rep g = conj[s][d[parent]], whose fibre at rep is
-Z_W(rep), and gets Z_W(c) = g^-1 Z_W(rep) g for the other members c; conjugating
-an index set by a word costs one conj lookup per letter and member.  Sorted
-indices are ShortLex order, so an ElementSet is built only where a public
-function hands one back, and it needs no sort key.
+Z_W(rep), and gets Z_W(c) = g^-1 Z_W(rep) g for the other members c;
+conjugating an index set by a word costs one conj lookup per letter and
+member.  The suites compare the `.indices` of the views.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
@@ -34,8 +36,10 @@ oracle of the tests and of the CLI's brute_force_match field.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
+from operator import lt
 
 from . import catalog
 from .group import CoxeterContext, GroupElement, word_to_string
@@ -62,19 +66,68 @@ class InfiniteGroupError(EnumerationCapExceeded):
 
 
 class ElementSet:
-    """A duplicate-free collection of group elements keyed by normal-form word.
+    """A view of a set of group elements: a FiniteGroup and the strictly
+    increasing indices of the members, which is ShortLex order.
 
-    The public oracles return centralizers, normalizers and conjugacy classes
-    as plain ElementSets, members in ShortLex order; only a FiniteGroup has
+    The oracles return centralizers, normalizers and conjugacy classes as
+    views; no word dict is kept.  Membership walks the element's word through
+    the group's step table and bisects the indices.  Only the FiniteGroup has
     tables.
     """
 
-    def __init__(self, context: CoxeterContext, elements):
+    __slots__ = ("group", "indices")
+
+    def __init__(self, group: FiniteGroup, indices):
+        indices = list(indices)
+        if indices and not (0 <= indices[0] and indices[-1] < len(group)
+                            and all(map(lt, indices, islice(indices, 1, None)))):
+            raise ValueError("indices must be strictly increasing and within the group")
+        self.group = group
+        self.indices = indices
+
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(self)
+
+    def __len__(self):
+        return len(self.indices)
+
+    def __iter__(self):
+        return map(self.group.elements.__getitem__, self.indices)
+
+    def __contains__(self, element):
+        if not isinstance(element, GroupElement) or element.context is not self.group.context:
+            return False
+        k = self.group.walk(0, element.word)
+        i = bisect_left(self.indices, k)
+        return i < len(self.indices) and self.indices[i] == k
+
+    def words(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(el.word for el in self)
+
+
+class FiniteGroup:
+    """The whole group from enumerate_group: index order is ShortLex order, and
+    the step table gives the index of elements[i] * s.
+
+    An element's index is its word walked from the identity through the step
+    table, so no dict over W is kept.  The inverse and conjugation tables are
+    derived from the step table on first use and kept; the memos hold one
+    normalizer view per parabolic subset and one index pair per conjugacy
+    class.
+    """
+
+    def __init__(self, context: CoxeterContext, elements, steps):
         self.context = context
         self.elements = tuple(elements)
-        self._index = {el.word: i for i, el in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements")
+        self._steps = steps
+        self._inv: list[int] | None = None
+        self._conj: list[list[int]] | None = None
+        # subset -> N_W(W_I), so normalizer() hands back the same view every time
+        self._normalizer_memo: dict[frozenset, ElementSet] = {}
+        # member index -> (Z_W(rep) as indices, transversal c -> g with
+        # g^-1 rep g = c), one shared pair per conjugacy class met so far
+        self._class_memo: dict[int, tuple[list[int], dict[int, int]]] = {}
 
     def __len__(self):
         return len(self.elements)
@@ -82,44 +135,14 @@ class ElementSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, element):
-        if not isinstance(element, GroupElement) or element.context is not self.context:
-            return False
-        return element.word in self._index
-
     def words(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self._index)
+        return frozenset(el.word for el in self.elements)
 
     def index_of(self, element: GroupElement) -> int:
+        """The index of an element of this group's context: its word walked from the identity."""
         if element.context is not self.context:
             raise ValueError("element from a different context")
-        try:
-            return self._index[element.word]
-        except KeyError:
-            raise ValueError(f"element {element!r} not in this set") from None
-
-
-class FiniteGroup(ElementSet):
-    """The whole group from enumerate_group: index order is ShortLex order, and
-    the step table gives the index of elements[i] * s.
-
-    The inverse and conjugation tables are derived from the step table on
-    first use and kept; the memos hold index lists, one per parabolic subset
-    and one per conjugacy class.
-    """
-
-    def __init__(self, context: CoxeterContext, elements, steps):
-        super().__init__(context, elements)
-        self._steps = steps
-        self._inv: list[int] | None = None
-        self._conj: list[list[int]] | None = None
-        # subset -> N_W(W_I) as sorted indices; the public ElementSets apart,
-        # so normalizer() hands back the same object every time
-        self._normalizer_idx: dict[frozenset, list[int]] = {}
-        self._normalizer_memo: dict[frozenset, ElementSet] = {}
-        # member index -> (Z_W(rep) as indices, transversal c -> g with
-        # g^-1 rep g = c), one shared pair per conjugacy class met so far
-        self._class_memo: dict[int, tuple[list[int], dict[int, int]]] = {}
+        return self.walk(0, element.word)
 
     def walk(self, start: int, word) -> int:
         """Index of elements[start] * (product of the word), by table lookups."""
@@ -220,10 +243,6 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     return FiniteGroup(ctx, elements, steps)
 
 
-def _element_set(group: FiniteGroup, indices) -> ElementSet:
-    return ElementSet(group.context, (group.elements[i] for i in indices))
-
-
 def involutions(group: FiniteGroup) -> list[GroupElement]:
     """The g in the group with g g = 1, identity included, in ShortLex order."""
     inv = group._inverses()
@@ -231,19 +250,16 @@ def involutions(group: FiniteGroup) -> list[GroupElement]:
 
 
 def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
-    """All g in the group with g w = w g, in ShortLex order."""
+    """All g in the group with g w = w g, by brute force: two walks per g."""
     k = group.index_of(w)
     word_w = w.word
-    members = [
-        el
-        for i, el in enumerate(group.elements)
-        if group.walk(i, word_w) == group.walk(k, el.word)
-    ]
-    return ElementSet(group.context, members)
+    walk = group.walk
+    return ElementSet(group, [i for i, el in enumerate(group.elements)
+                              if walk(i, word_w) == walk(k, el.word)])
 
 
-def _class_centralizer(group: FiniteGroup, k: int) -> list[int]:
-    """Z_W(elements[k]) as sorted indices, from one pass over W per conjugacy class.
+def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
+    """Z_W(w) from the class engine, one pass over W per conjugacy class.
 
     The first member of a class asked for becomes its rep.  Its pass runs
     along the BFS tree: g = p s with s the last letter of g and p = g s its
@@ -252,7 +268,9 @@ def _class_centralizer(group: FiniteGroup, k: int) -> list[int]:
     with d[g] = c is kept as c's transversal element.  Only that pair is kept,
     under every member's index; a later member c costs |Z_W(rep)| lookups
     per letter of its transversal element g, as Z_W(c) = g^-1 Z_W(rep) g.
+    Same set as the brute-force `centralizer`.
     """
+    k = group.index_of(w)
     memo = group._class_memo
     found = memo.get(k)
     if found is None:
@@ -272,30 +290,24 @@ def _class_centralizer(group: FiniteGroup, k: int) -> list[int]:
         for c in transversal:
             memo[c] = found
     z, transversal = found
-    return sorted(group._conjugate(z, group.elements[transversal[k]].word))
+    return ElementSet(group, sorted(group._conjugate(z, group.elements[transversal[k]].word)))
 
 
-def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
-    """Z_W(w) from the class engine, one pass over W per conjugacy class.
+def normalizer(subset, group: FiniteGroup) -> ElementSet:
+    """All g with g s g^-1 in the standard parabolic on `subset`, for every s there.
 
-    Same set as the brute-force `centralizer`, in ShortLex order; see
-    `_class_centralizer` for the pass along the BFS tree.
+    Built once per subset from coset labels, with no word walked.  lab[x] is
+    the least index in the left coset x W_I.  One pass in index order sets
+    it: if some s in I has x s < x, then lab[x] = lab[x s] for the first such
+    s; otherwise x is the minimal coset representative, shorter than every
+    other member, so lab[x] = x.  Then x^-1 s x lies in W_I iff s x W_I =
+    x W_I, and s x W_I = s x s W_I as s is in I, so x^-1 is in N_W(W_I) iff
+    lab[conj[s][x]] == lab[x] for every s in I.  The normalizer is closed
+    under inverses, so the x that pass are N_W(W_I) itself.
     """
-    return _element_set(group, _class_centralizer(group, group.index_of(w)))
-
-
-def _normalizer(group: FiniteGroup, subset: frozenset) -> list[int]:
-    """N_W(W_I) as sorted indices, from coset labels: no word is walked.
-
-    lab[x] is the least index in the left coset x W_I.  One pass in index
-    order sets it: if some s in I has x s < x, then lab[x] = lab[x s] for the
-    first such s; otherwise x is the minimal coset representative, shorter
-    than every other member, so lab[x] = x.  Then x^-1 s x lies in W_I iff
-    s x W_I = x W_I, and s x W_I = s x s W_I as s is in I, so x^-1 is in
-    N_W(W_I) iff lab[conj[s][x]] == lab[x] for every s in I.  The normalizer
-    is closed under inverses, so the x that pass are N_W(W_I) itself.
-    """
-    found = group._normalizer_idx.get(subset)
+    subset = frozenset(subset)
+    memo = group._normalizer_memo
+    found = memo.get(subset)
     if found is None:
         steps, conj = group._steps, group._conjugation()
         gens = sorted(subset)
@@ -306,24 +318,11 @@ def _normalizer(group: FiniteGroup, subset: frozenset) -> list[int]:
                 if y < x:
                     lab[x] = lab[y]
                     break
-        found = list(range(len(steps)))
+        members = list(range(len(steps)))
         for s in gens:
             table = conj[s]
-            found = [x for x in found if lab[table[x]] == lab[x]]
-        group._normalizer_idx[subset] = found
-    return found
-
-
-def normalizer(subset, group: FiniteGroup) -> ElementSet:
-    """All g with g s g^-1 in the standard parabolic on `subset`, for every s there.
-
-    Computed from the coset labels of `_normalizer`; built once per subset.
-    """
-    subset = frozenset(subset)
-    memo = group._normalizer_memo
-    found = memo.get(subset)
-    if found is None:
-        found = memo[subset] = _element_set(group, _normalizer(group, subset))
+            members = [x for x in members if lab[table[x]] == lab[x]]
+        found = memo[subset] = ElementSet(group, members)
     return found
 
 
@@ -333,17 +332,14 @@ def verify_centralizer_is_normalizer(subset, group: FiniteGroup) -> bool:
     Z_W(rho_I) comes from the class engine, not from the brute-force
     `centralizer`; the tests check that the two agree.
     """
-    k = group.index_of(longest_element(group.context, subset))
-    return _class_centralizer(group, k) == _normalizer(group, frozenset(subset))
-
-
-def _conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> list[int]:
-    return sorted(group._conjugate(_normalizer(group, cert.subset), cert.conjugator.word))
+    rho = longest_element(group.context, subset)
+    return class_centralizer(rho, group).indices == normalizer(subset, group).indices
 
 
 def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> ElementSet:
-    """u^-1 N_W(W_I) u for the certificate (I, u), by conj lookups, in ShortLex order."""
-    return _element_set(group, _conjugated_normalizer(cert, group))
+    """u^-1 N_W(W_I) u for the certificate (I, u), by conj lookups."""
+    members = normalizer(cert.subset, group).indices
+    return ElementSet(group, sorted(group._conjugate(members, cert.conjugator.word)))
 
 
 def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
@@ -355,12 +351,18 @@ def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
     involution of several groups.  Neither centralizer reads the certificate.
     """
     cert = involution_certificate(w)
-    return _conjugated_normalizer(cert, group) == _class_centralizer(group, group.index_of(w))
+    return conjugated_normalizer(cert, group).indices == class_centralizer(w, group).indices
 
 
-def _involution_classes(group: FiniteGroup) -> list[tuple[list[int], InvolutionCertificate]]:
-    """The involution classes as sorted index lists, orbits on the conj table."""
-    ctx = group.context
+def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
+    """Conjugacy classes of involutions (identity included), with certificates.
+
+    Classes are orbits under conjugation by generators, on the conj table;
+    each is listed with the certificate of its ShortLex-least (so
+    minimal-length) representative.  Classes come back sorted by their
+    representative.  That each class holds the longest element its
+    certificate names is checked by the `classes` suite, not here.
+    """
     inv, conj = group._inverses(), group._conjugation()
     unassigned = {i for i, j in enumerate(inv) if i == j}
     out = []
@@ -376,24 +378,9 @@ def _involution_classes(group: FiniteGroup) -> list[tuple[list[int], InvolutionC
                     orbit.add(j)
                     frontier.append(j)
         unassigned -= orbit
-        cert = involution_certificate(group.elements[rep])
-        rho_idx = group.index_of(longest_element(ctx, cert.subset))
-        if rho_idx not in orbit:
-            raise AssertionError("class does not contain its certificate's longest element")
-        out.append((sorted(orbit), cert))
+        out.append((ElementSet(group, sorted(orbit)),
+                    involution_certificate(group.elements[rep])))
     return out
-
-
-def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
-    """Conjugacy classes of involutions (identity included), with certificates.
-
-    Classes are orbits under conjugation by generators; each is listed with
-    the certificate of its ShortLex-least (so minimal-length) representative,
-    and is checked to contain the longest element named by that certificate.
-    Classes come back sorted by their representative, members in ShortLex
-    order.
-    """
-    return [(_element_set(group, members), cert) for members, cert in _involution_classes(group)]
 
 
 def _suite_prop1(group):
@@ -432,15 +419,14 @@ def _suite_main(group):
 
 def _suite_classes(group):
     failures = []
-    classes = _involution_classes(group)
+    classes = involution_classes(group)
     seen = set()
     for members, cert in classes:
-        instance = word_to_string(group.elements[members[0]].word)
-        if not seen.isdisjoint(members):
+        instance = word_to_string(group.elements[members.indices[0]].word)
+        if not seen.isdisjoint(members.indices):
             failures.append({"instance": instance, "reason": "classes overlap"})
-        seen.update(members)
-        rho = longest_element(group.context, cert.subset)
-        if group.index_of(rho) not in members:
+        seen.update(members.indices)
+        if longest_element(group.context, cert.subset) not in members:
             failures.append({"instance": instance,
                              "reason": "class misses its certificate's longest element"})
     if sum(len(c) for c, _ in classes) != len(involutions(group)):

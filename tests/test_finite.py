@@ -1,5 +1,6 @@
 """Brute-force group enumeration and the centralizer/normalizer oracles."""
 
+import json
 import random
 from itertools import combinations
 
@@ -8,9 +9,11 @@ import pytest
 from coxcent import (
     DEFAULT_ENUMERATION_CAP,
     CoxeterContext,
+    ElementSet,
     EnumerationCapExceeded,
     GroupElement,
     InfiniteGroupError,
+    InvolutionCertificate,
     centralizer,
     class_centralizer,
     enumerate_group,
@@ -24,6 +27,7 @@ from coxcent import (
     verify_centralizer_is_normalizer,
     word_from_string,
 )
+from coxcent import cli, finite
 from coxcent.finite import conjugated_normalizer
 
 
@@ -356,3 +360,64 @@ def test_prop2_class_engine_matches_brute_force(name):
         rho = longest_element(ctx, subset)
         assert class_centralizer(rho, group).words() == centralizer(rho, group).words(), subset
         assert verify_centralizer_is_normalizer(subset, group)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_view_membership_matches_words(name):
+    # `in` walks the element's word and bisects the indices; the words of the
+    # members are the independent oracle
+    ctx = CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    sets = [normalizer(c, group) for k in range(ctx.rank + 1)
+            for c in combinations(range(ctx.rank), k)]
+    sets += [class_centralizer(w, group) for w in involutions(group)]
+    sets += [members for members, _cert in involution_classes(group)]
+    for members in sets:
+        words = members.words()
+        assert len(words) == len(members)
+        for x in group:
+            assert (x in members) == (x.word in words), x.word
+
+
+def test_view_rejects_foreign_elements(group_of, context_of):
+    group = group_of("A3")
+    everything = normalizer((), group)
+    assert len(everything) == len(group)
+    foreign = context_of("B3").generator(0)
+    assert foreign not in everything
+    assert group.context.generator(0) in everything
+    assert (0,) not in everything
+
+
+def test_view_requires_strictly_increasing_indices(group_of):
+    group = group_of("A3")
+    assert list(ElementSet(group, [0, 3, 7]).indices) == [0, 3, 7]
+    assert len(ElementSet(group, [])) == 0
+    for bad in ([0, 0], [3, 1], [0, 2, 2, 5], [-1, 0], [0, len(group)]):
+        with pytest.raises(ValueError):
+            ElementSet(group, bad)
+
+
+@pytest.mark.parametrize("name", ["H3", "B4"])
+def test_index_of_walks_the_word(name):
+    group = enumerate_group(CoxeterContext.from_name(name))
+    for i, x in enumerate(group.elements):
+        assert group.index_of(x) == i
+
+
+def test_classes_suite_reports_a_class_missing_its_longest_element(monkeypatch, capsys):
+    # every certificate names the empty subset, so rho_I is the identity and
+    # each class but the identity's misses it: a failure document, not a
+    # traceback
+    def empty_certificate(w):
+        return InvolutionCertificate(frozenset(), w.context.identity(), ())
+
+    monkeypatch.setattr(finite, "involution_certificate", empty_certificate)
+    code = cli.main(["verify", "--type", "A3", "--suite", "classes", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["instances_checked"] == 3
+    assert doc["failures"] == [
+        {"instance": "1", "reason": "class misses its certificate's longest element"},
+        {"instance": "1 3", "reason": "class misses its certificate's longest element"},
+    ]
