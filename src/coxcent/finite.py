@@ -1,15 +1,19 @@
 """Finite Coxeter groups: enumeration, and the oracles that verify certificates.
 
 Full enumeration is a ShortLex breadth-first search over right multiplication
-by generators; it never multiplies or peels, because the first time it reaches
-an element it already holds that element's normal form.  It reads |W| from
-the catalog first, so a group over the cap is refused before any element is
-built.  The result, a FiniteGroup, lists the elements in ShortLex order and
-alone carries the step table steps[x][s] = x s.  Two more tables are derived
-from it once per group, on first use:
+by generators.  It reads |W| from the catalog first (CoxeterContext.order),
+so a group over the cap is refused before the search starts.  It builds no
+GroupElement: each element is one packed int, its orbit vector x^-1(rho),
+kept exact by an overflow guard that widens the key when it trips (see
+_bfs), and the search keeps the keys of the layer it is filling only.  The
+result, a FiniteGroup, numbers the elements in ShortLex order and keeps
+three index tables: steps[x][s], the index of x s, and parent[x], last[x]
+with x = parent[x] last[x], so that x's word is read back along the
+parents.  Words and GroupElements are built on demand and not kept.  Two
+more tables are derived once per group, on first use:
 
-* inv[x], the index of x^-1, walked from the reversed words and checked to be
-  an involutive permutation fixing the identity;
+* inv[x], the index of x^-1, by first-letter and suffix recurrences along
+  the parents, checked to be an involutive permutation;
 * conj[s][x] = s x s = steps[inv[steps[inv[x]][s]]][s], n |W| entries.
 
 A set of elements is an ElementSet: a view holding the FiniteGroup and the
@@ -17,12 +21,13 @@ strictly increasing indices of its members.  Sorted indices are ShortLex
 order, so a view needs no sort key, and no word dict is kept, for a view or
 for W: an element's index is its word walked through the step table.  Past
 that lookup, no oracle but the brute-force `centralizer` walks a word.  The
-involutions are the x with inv[x] = x.  `normalizer` labels the left cosets x W_I.  The class engine
-(`class_centralizer`) makes one pass over W per conjugacy class along the
-BFS tree, d[g] = g^-1 rep g = conj[s][d[parent]], whose fibre at rep is
-Z_W(rep), and gets Z_W(c) = g^-1 Z_W(rep) g for the other members c;
-conjugating an index set by a word costs one conj lookup per letter and
-member.  The suites compare the `.indices` of the views.
+involutions are the x with inv[x] = x.  `normalizer` labels the left cosets
+x W_I.  The class engine (`class_centralizer`) makes one pass over W per
+conjugacy class along the BFS tree, d[g] = g^-1 rep g =
+conj[last[g]][d[parent[g]]], whose fibre at rep is Z_W(rep), and gets
+Z_W(c) = g^-1 Z_W(rep) g for the other members c; conjugating an index set
+by a word costs one conj lookup per letter and member.  The suites compare
+the `.indices` of the views.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
@@ -30,18 +35,17 @@ Z_W(w) = u^-1 N_W(W_I) u (the main suite), and that Z_W(rho_I) = N_W(W_I)
 for every (-1)-type subset I (prop2).  Both suites take Z_W from the class
 engine, which reads neither the certificate nor the normalizer, so the check
 stays independent of what it checks.  The brute-force `centralizer`, which
-tests g w = w g for every g with two walks over all of W, is kept as the
-oracle of the tests and of the CLI's brute_force_match field.
+tests g w = w g for every g, is kept as the oracle of the tests and of the
+CLI's brute_force_match field.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections.abc import Sequence
 from itertools import combinations, islice
 from operator import lt
 
-from . import catalog
 from .group import CoxeterContext, GroupElement, word_to_string
 from .involution import (
     InvolutionCertificate,
@@ -51,6 +55,8 @@ from .involution import (
 )
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
+
+_KEY_BITS = 32  # bits per coefficient of a packed orbit key, doubled while the guard trips
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -63,6 +69,10 @@ class EnumerationCapExceeded(RuntimeError):
 
 class InfiniteGroupError(EnumerationCapExceeded):
     """The group is infinite: its diagram is not a finite type, so no element is built."""
+
+
+class _KeyOverflow(ArithmeticError):
+    """A packed orbit key could overflow its coefficient width at the next reflection."""
 
 
 class ElementSet:
@@ -85,6 +95,13 @@ class ElementSet:
         self.group = group
         self.indices = indices
 
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, indices: list[int]) -> ElementSet:
+        """A view sharing a list that an earlier view has validated."""
+        view = cls.__new__(cls)
+        view.group, view.indices = group, indices
+        return view
+
     @property
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(self)
@@ -103,40 +120,71 @@ class ElementSet:
         return i < len(self.indices) and self.indices[i] == k
 
     def words(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(el.word for el in self)
+        return frozenset(map(self.group.word, self.indices))
+
+
+class _Elements(Sequence):
+    """A FiniteGroup's elements in index order, each built when it is asked for."""
+
+    __slots__ = ("_group",)
+
+    def __init__(self, group: FiniteGroup):
+        self._group = group
+
+    def __len__(self):
+        return len(self._group)
+
+    def __getitem__(self, i):
+        group = self._group
+        return GroupElement(group.context, group.word(range(len(group))[i]))
 
 
 class FiniteGroup:
-    """The whole group from enumerate_group: index order is ShortLex order, and
-    the step table gives the index of elements[i] * s.
+    """The whole group from enumerate_group, as index tables in ShortLex order.
 
-    An element's index is its word walked from the identity through the step
-    table, so no dict over W is kept.  The inverse and conjugation tables are
-    derived from the step table on first use and kept; the memos hold one
-    normalizer view per parabolic subset and one index pair per conjugacy
-    class.
+    steps[x][s] is the index of x s, and x = parent[x] last[x], so `word(x)`
+    follows the parents.  `elements[i]` builds GroupElement(context,
+    word(i)) on demand, its orbit vector walked lazily.  The inverse table
+    (from the first-letter and suffix recurrences) and the conjugation table
+    are derived on first use and kept; the memos hold one normalizer index
+    list per parabolic subset and one index pair per conjugacy class.
+    Nothing held here refers back to the group, so it is freed by reference
+    counting.
     """
 
-    def __init__(self, context: CoxeterContext, elements, steps):
+    def __init__(self, context: CoxeterContext, parent: list[int], last: list,
+                 steps: list[tuple[int, ...]]):
         self.context = context
-        self.elements = tuple(elements)
-        self._steps = steps
+        self._parent, self._last, self._steps = parent, last, steps
         self._inv: list[int] | None = None
         self._conj: list[list[int]] | None = None
-        # subset -> N_W(W_I), so normalizer() hands back the same view every time
-        self._normalizer_memo: dict[frozenset, ElementSet] = {}
+        # subset -> N_W(W_I) as a validated index list, shared by every view of it
+        self._normalizer_memo: dict[frozenset, list[int]] = {}
         # member index -> (Z_W(rep) as indices, transversal c -> g with
         # g^-1 rep g = c), one shared pair per conjugacy class met so far
         self._class_memo: dict[int, tuple[list[int], dict[int, int]]] = {}
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._steps)
+
+    @property
+    def elements(self) -> Sequence[GroupElement]:
+        return _Elements(self)
 
     def __iter__(self):
         return iter(self.elements)
 
+    def word(self, i: int) -> tuple[int, ...]:
+        """The ShortLex word of element i, read back along the parents."""
+        parent, last = self._parent, self._last
+        out = []
+        while i:
+            out.append(last[i])
+            i = parent[i]
+        return tuple(reversed(out))
+
     def words(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(el.word for el in self.elements)
+        return frozenset(map(self.word, range(len(self))))
 
     def index_of(self, element: GroupElement) -> int:
         """The index of an element of this group's context: its word walked from the identity."""
@@ -155,18 +203,33 @@ class FiniteGroup:
         return self._inverses()[i]
 
     def _inverses(self) -> list[int]:
-        """inv[x], the index of elements[x]^-1, walked once from the reversed words.
+        """inv[x], the index of x^-1, in one pass along the parents, with no walk.
 
-        Checked to be an involutive permutation fixing the identity: the conj
-        table is built from it, and the normalizer and the class engine read
-        conj on both sides of the sets they compare, so a wrong inverse must
-        fail here instead of agreeing with itself.
+        Write x = f y with f the first letter of x's word.  Then x^-1 = y^-1 f,
+        and for x = p s (p = parent[x], s = last[x]) of length 2 or more,
+        first[x] = first[p], suffix[x] = y = steps[suffix[p]][s] and
+        inv[x] = steps[inv[y]][first[x]]; y is shorter, so inv[y] is known.
+        A generator is its own inverse.
+
+        Checked to be an involutive permutation: the conj table is built from
+        it, and the normalizer and the class engine read conj on both sides
+        of the sets they compare, so a wrong inverse must fail here instead
+        of agreeing with itself.
         """
         inv = self._inv
         if inv is None:
-            inv = [self.walk(0, reversed(el.word)) for el in self.elements]
-            if inv[0] != 0 or any(inv[j] != i for i, j in enumerate(inv)):
-                raise AssertionError("inverse table is not an involution fixing the identity")
+            steps, parent, last = self._steps, self._parent, self._last
+            first, suffix, inv = [0] * len(steps), [0] * len(steps), list(range(len(steps)))
+            for x in range(1, len(steps)):
+                p, s = parent[x], last[x]
+                if p:
+                    f = first[x] = first[p]
+                    y = suffix[x] = steps[suffix[p]][s]
+                    inv[x] = steps[inv[y]][f]
+                else:
+                    first[x] = s
+            if any(inv[j] != i for i, j in enumerate(inv)):
+                raise AssertionError("inverse table is not an involution")
             self._inv = inv
         return inv
 
@@ -192,6 +255,89 @@ class FiniteGroup:
         return indices
 
 
+def _bfs(ctx: CoxeterContext, order: int, bits: int):
+    """(parent, last, steps) of the whole group by ShortLex BFS on packed keys.
+
+    The orbit vector x^-1(rho), n*d int coefficients c_k, is packed into the
+    key sum (c_k + 2^(B-1)) 2^(B k), B = bits.  The reflection by s adds
+    x_j C[s][j] for each coefficient x_j of block s, C[s][j] (`columns`)
+    being that source's packed column, read off the reflection of a unit
+    vector: its Cartan entries into the neighbour blocks, and -2 on the
+    source itself.  A digit reads back as ((key >> B k) & mask) - 2^(B-1),
+    exactly while every |c_k| < 2^(B-1).  The guard keeps it so.  With E
+    (`reach`) the largest sum of |entry| over one coefficient's row of the
+    columns of one reflection, each new key is checked once, by one mask
+    comparison, to have every coefficient in [-W, W), where W = 2^w and
+    W (1 + E) <= 2^(B-2); then the next reflection is exact.  Otherwise
+    _KeyOverflow, an ArithmeticError, is raised.
+
+    An edge (x, s) with x s shorter than x is filled when x s, one layer up,
+    is expanded.  So an edge still empty when x is expanded leads to the
+    next layer, and the key dict holds that layer alone.  A layer's step
+    rows become tuples once it is expanded.
+    """
+    n, d = ctx.rank, ctx._degree
+    off, mask = 1 << (bits - 1), (1 << bits) - 1
+    columns, reach = [], 0
+    for s in range(n):
+        deltas = []  # what the reflection by s adds per unit of source j
+        for j in range(s * d, s * d + d):
+            v = [0] * (n * d)
+            v[j] = 1
+            ctx._reflect_weights(v, (s,))
+            v[j] -= 1
+            deltas.append(v)
+        reach = max(reach, *(sum(abs(v[k]) for v in deltas) for k in range(n * d)))
+        columns.append([(bits * (s * d + j), sum(c << (bits * k) for k, c in enumerate(v)))
+                        for j, v in enumerate(deltas)])
+    single = d == 1 and [pairs[0] for pairs in columns]
+    # each digit plus W has its bits from w + 1 up equal to those of 2^(B-1)
+    # iff its coefficient lies in [-W, W); rho's coefficients 0 and 1 need w >= 1
+    w = bits - 2 - reach.bit_length()
+    if w < 1:
+        raise _KeyOverflow(f"{bits}-bit keys cannot hold rho and one reflection")
+    ones = sum(1 << (bits * k) for k in range(n * d))
+    shift_in, window, inside = (1 << w) * ones, (mask >> (w + 1)) * ones, (off >> (w + 1)) * ones
+
+    layer = [sum((off + (k % d == 0)) << (bits * k) for k in range(n * d))]  # rho
+    steps: list = [[None] * n]
+    parent, last = [0], [None]
+    first = 0
+    while layer:
+        keys: dict[int, int] = {}  # the next layer only: key -> index
+        get = keys.get
+        for i, key in enumerate(layer, first):
+            row = steps[i]
+            for s, j in enumerate(row):
+                if j is not None:  # a shorter neighbour, filled from the layer above
+                    continue
+                if single:
+                    shift, column = single[s]
+                    new = key + (((key >> shift) & mask) - off) * column
+                else:
+                    new = key
+                    for shift, column in columns[s]:
+                        new += (((key >> shift) & mask) - off) * column
+                j = get(new)
+                if j is None:
+                    if ((new + shift_in) >> (w + 1)) & window != inside:
+                        raise _KeyOverflow(f"a coefficient outgrew {bits}-bit keys")
+                    j = keys[new] = len(steps)
+                    steps.append([None] * n)
+                    parent.append(i)
+                    last.append(s)
+                row[s] = j
+                steps[j][s] = i  # (g s) s = g
+        end = first + len(layer)
+        steps[first:end] = map(tuple, steps[first:end])
+        first, layer = end, list(keys)
+        if len(steps) > order:
+            break
+    if len(steps) != order:
+        raise AssertionError(f"enumerated {len(steps)} elements, the catalog order is {order}")
+    return parent, last, steps
+
+
 def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> FiniteGroup:
     """All elements of a finite group by ShortLex BFS from the identity.
 
@@ -201,85 +347,71 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     first pair (g, s) that reaches a new element h = g*s has the
     ShortLex-least word word(g) + (s,) among all ways to reach h from the
     previous layer, which is the normal form of h (a prefix of a normal form
-    is a normal form).  New elements therefore take word(g) + (s,) as is,
-    and are recognised by their orbit key.
+    is a normal form).  New elements therefore take parent g and last letter
+    s as is, and are recognised by their packed orbit key.
 
-    |W| is read from the catalog first (catalog.group_order), so no element
-    is built for a group that is refused: InfiniteGroupError when the
-    diagram is not of finite type, EnumerationCapExceeded when |W| > cap.
-    The BFS must then reach exactly |W| elements.
+    |W| is read from the catalog first (CoxeterContext.order), so nothing is
+    built for a group that is refused: InfiniteGroupError when the diagram is
+    not of finite type, EnumerationCapExceeded when |W| > cap.  The BFS must
+    then reach exactly |W| elements.  The key width starts at _KEY_BITS and
+    doubles while the overflow guard trips, as it does where coefficients
+    grow large (I2(m) at a high field degree).
     """
-    order = catalog.group_order(ctx.matrix)
+    order = ctx.order
     if order is None:
         raise InfiniteGroupError(cap)
     if order > cap:
         raise EnumerationCapExceeded(cap)
-    n = ctx.rank
-    identity = ctx.identity()
-    elements = [identity]
-    index = {identity.orbit_key(): 0}
-    steps: list[list] = [[None] * n]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        g = elements[i]
-        row = steps[i]
-        for s in range(n):
-            if row[s] is not None:
-                continue
-            h = g.successor(s)
-            key = h.orbit_key()
-            j = index.get(key)
-            if j is None:
-                j = len(elements)
-                index[key] = j
-                elements.append(h)
-                steps.append([None] * n)
-                queue.append(j)
-            row[s] = j
-            steps[j][s] = i  # (g s) s = g
-    if len(elements) != order:
-        raise AssertionError(f"enumerated {len(elements)} elements, the catalog order is {order}")
-    return FiniteGroup(ctx, elements, steps)
+    bits = _KEY_BITS
+    while True:
+        try:
+            return FiniteGroup(ctx, *_bfs(ctx, order, bits))
+        except _KeyOverflow:
+            bits *= 2
 
 
 def involutions(group: FiniteGroup) -> list[GroupElement]:
     """The g in the group with g g = 1, identity included, in ShortLex order."""
     inv = group._inverses()
-    return [el for i, el in enumerate(group.elements) if inv[i] == i]
+    elements = group.elements
+    return [elements[i] for i, j in enumerate(inv) if i == j]
 
 
 def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
-    """All g in the group with g w = w g, by brute force: two walks per g."""
+    """All g in the group with g w = w g, by brute force.
+
+    w g comes along the BFS tree, as w p s for g = p s, and g w from a walk
+    of w's word from g; neither reads the inverse or conjugation tables.
+    """
     k = group.index_of(w)
     word_w = w.word
-    walk = group.walk
-    return ElementSet(group, [i for i, el in enumerate(group.elements)
-                              if walk(i, word_w) == walk(k, el.word)])
+    steps, walk = group._steps, group.walk
+    wg = [k]
+    for p, s in zip(islice(group._parent, 1, None), islice(group._last, 1, None)):
+        wg.append(steps[wg[p]][s])
+    return ElementSet(group, [g for g, x in enumerate(wg) if walk(g, word_w) == x])
 
 
 def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     """Z_W(w) from the class engine, one pass over W per conjugacy class.
 
     The first member of a class asked for becomes its rep.  Its pass runs
-    along the BFS tree: g = p s with s the last letter of g and p = g s its
-    parent, which comes earlier, so d[g] = g^-1 rep g = s d[p] s is one conj
-    lookup.  The fibre d == rep is Z_W(rep), and the first g in index order
-    with d[g] = c is kept as c's transversal element.  Only that pair is kept,
-    under every member's index; a later member c costs |Z_W(rep)| lookups
-    per letter of its transversal element g, as Z_W(c) = g^-1 Z_W(rep) g.
-    Same set as the brute-force `centralizer`.
+    along the BFS tree: g = p s with s = last[g] and p = parent[g], which
+    comes earlier, so d[g] = g^-1 rep g = s d[p] s is one conj lookup.  The
+    fibre d == rep is Z_W(rep), and the first g in index order with d[g] = c
+    is kept as c's transversal element.  Only that pair is kept, under every
+    member's index; a later member c costs |Z_W(rep)| lookups per letter of
+    its transversal element g, as Z_W(c) = g^-1 Z_W(rep) g.  Same set as the
+    brute-force `centralizer`.
     """
     k = group.index_of(w)
     memo = group._class_memo
     found = memo.get(k)
     if found is None:
-        steps, elements = group._steps, group.elements
         conj = group._conjugation()
-        d = [k] * len(elements)
-        for g in range(1, len(elements)):
-            s = elements[g].word[-1]
-            d[g] = conj[s][d[steps[g][s]]]
+        d = [k]
+        for p, s in zip(islice(group._parent, 1, None), islice(group._last, 1, None)):
+            d.append(conj[s][d[p]])
         z = [g for g, c in enumerate(d) if c == k]
         # later keys overwrite earlier ones, so walking d backwards leaves
         # the first g for each c
@@ -290,7 +422,7 @@ def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
         for c in transversal:
             memo[c] = found
     z, transversal = found
-    return ElementSet(group, sorted(group._conjugate(z, group.elements[transversal[k]].word)))
+    return ElementSet(group, sorted(group._conjugate(z, group.word(transversal[k]))))
 
 
 def normalizer(subset, group: FiniteGroup) -> ElementSet:
@@ -303,27 +435,30 @@ def normalizer(subset, group: FiniteGroup) -> ElementSet:
     other member, so lab[x] = x.  Then x^-1 s x lies in W_I iff s x W_I =
     x W_I, and s x W_I = s x s W_I as s is in I, so x^-1 is in N_W(W_I) iff
     lab[conj[s][x]] == lab[x] for every s in I.  The normalizer is closed
-    under inverses, so the x that pass are N_W(W_I) itself.
+    under inverses, so the x that pass are N_W(W_I) itself.  The memo keeps
+    the index list, validated once; every call returns a view over it.
     """
     subset = frozenset(subset)
     memo = group._normalizer_memo
-    found = memo.get(subset)
-    if found is None:
-        steps, conj = group._steps, group._conjugation()
-        gens = sorted(subset)
-        lab = list(range(len(steps)))
-        for x, row in enumerate(steps):
-            for s in gens:
-                y = row[s]
-                if y < x:
-                    lab[x] = lab[y]
-                    break
-        members = list(range(len(steps)))
+    members = memo.get(subset)
+    if members is not None:
+        return ElementSet._trusted(group, members)
+    steps, conj = group._steps, group._conjugation()
+    gens = sorted(subset)
+    lab = list(range(len(steps)))
+    for x, row in enumerate(steps):
         for s in gens:
-            table = conj[s]
-            members = [x for x in members if lab[table[x]] == lab[x]]
-        found = memo[subset] = ElementSet(group, members)
-    return found
+            y = row[s]
+            if y < x:
+                lab[x] = lab[y]
+                break
+    members = list(range(len(steps)))
+    for s in gens:
+        table = conj[s]
+        members = [x for x in members if lab[table[x]] == lab[x]]
+    view = ElementSet(group, members)
+    memo[subset] = view.indices
+    return view
 
 
 def verify_centralizer_is_normalizer(subset, group: FiniteGroup) -> bool:
@@ -422,14 +557,15 @@ def _suite_classes(group):
     classes = involution_classes(group)
     seen = set()
     for members, cert in classes:
-        instance = word_to_string(group.elements[members.indices[0]].word)
+        instance = word_to_string(group.word(members.indices[0]))
         if not seen.isdisjoint(members.indices):
             failures.append({"instance": instance, "reason": "classes overlap"})
         seen.update(members.indices)
         if longest_element(group.context, cert.subset) not in members:
             failures.append({"instance": instance,
                              "reason": "class misses its certificate's longest element"})
-    if sum(len(c) for c, _ in classes) != len(involutions(group)):
+    count = sum(i == j for i, j in enumerate(group._inverses()))
+    if sum(len(c) for c, _ in classes) != count:
         failures.append({"instance": "partition", "reason": "classes do not cover all involutions"})
     return len(classes), failures
 

@@ -201,7 +201,8 @@ class CoxeterContext:
 
     Immutable and shareable apart from two memos keyed by generator subset,
     which only ever gain entries: _longest_memo (involution.longest_element)
-    and _minus_one_memo (involution.is_minus_one_type).
+    and _minus_one_memo (involution.is_minus_one_type); and _order, read
+    from the catalog at most once (`order`).
     """
 
     def __init__(self, matrix):
@@ -272,6 +273,16 @@ class CoxeterContext:
         self._generators = tuple(GroupElement(self, (s,)) for s in range(n))
         self._longest_memo: dict[frozenset, GroupElement] = {}
         self._minus_one_memo: dict[frozenset, bool] = {}
+        self._order = ...  # not read from the catalog yet
+
+    @property
+    def order(self) -> int | None:
+        """|W| by catalog.group_order, None when W is infinite; classified once per context."""
+        if self._order is ...:
+            from .catalog import group_order
+
+            self._order = group_order(self.matrix)
+        return self._order
 
     @classmethod
     def from_name(cls, name: str) -> "CoxeterContext":
@@ -492,7 +503,8 @@ class GroupElement:
     """A group element: its ShortLex reduced word, plus w^-1(rho) once asked for.
 
     Equal iff the words are equal.  Elements come from CoxeterContext, whose
-    peeling makes the word the normal form, and from successor().
+    peeling makes the word the normal form, and from the index tables of
+    finite.FiniteGroup, whose BFS reads the normal forms off its tree.
     """
 
     __slots__ = ("context", "word", "_inv_rho")
@@ -535,17 +547,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return self.context._normal_form(self.word[::-1])
-
-    def successor(self, s: int) -> "GroupElement":
-        """self * s under the word self.word + (s,), built without peeling.
-
-        That word must be the ShortLex normal form of self * s, as it is the
-        first time the ShortLex BFS of finite.enumerate_group reaches self * s.
-        The result's orbit_key() is exact whatever the word.
-        """
-        v = list(self._inverse_rho())
-        self.context._reflect_weights(v, (s,))  # (w s)^-1 (rho) = s(w^-1(rho))
-        return GroupElement(self.context, self.word + (s,), tuple(v))
 
     def orbit_key(self) -> tuple:
         """A hashable key, equal for two elements of one context iff they are equal."""

@@ -44,11 +44,13 @@ def negated_simples(w: GroupElement) -> frozenset[int]:
 def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
     """Whether the standard parabolic on the given generators is finite.
 
-    Decided by matching each connected component of the restricted diagram
-    against the finite-type catalog, not by positive-definiteness; the catalog
+    Every parabolic of a finite W is finite, and W's own finiteness is read
+    once per context (CoxeterContext.order).  Only in an infinite W is each
+    connected component of the restricted diagram matched against the
+    finite-type catalog, not by positive-definiteness; the catalog
     comparison is exact and label-based.
     """
-    return catalog.is_finite_diagram(ctx.matrix, sorted(subset))
+    return ctx.order is not None or catalog.is_finite_diagram(ctx.matrix, sorted(subset))
 
 
 def longest_element(ctx: CoxeterContext, subset) -> GroupElement:

@@ -1,8 +1,11 @@
 """Brute-force group enumeration and the centralizer/normalizer oracles."""
 
+import gc
 import json
 import random
+import weakref
 from itertools import combinations
+from operator import lt
 
 import pytest
 
@@ -11,7 +14,6 @@ from coxcent import (
     CoxeterContext,
     ElementSet,
     EnumerationCapExceeded,
-    GroupElement,
     InfiniteGroupError,
     InvolutionCertificate,
     centralizer,
@@ -288,15 +290,15 @@ def test_normalizer_built_once_per_subset(context_of):
     first = normalizer([0, 2], group)
     again = normalizer((2, 0), group)
     assert again.words() == first.words()
-    assert again is first
+    assert again.indices is first.indices
 
 
 def test_finite_group_over_cap_is_rejected_before_any_element(monkeypatch):
-    # |W(E8)| = 696,729,600 is read from the catalog: no element is built
-    def no_successor(self, s):
-        raise AssertionError("an element was built")
+    # |W(E8)| = 696,729,600 is read from the catalog: the BFS never starts
+    def no_bfs(ctx, order, bits):
+        raise AssertionError("the BFS was started")
 
-    monkeypatch.setattr(GroupElement, "successor", no_successor)
+    monkeypatch.setattr(finite, "_bfs", no_bfs)
     with pytest.raises(EnumerationCapExceeded) as info:
         enumerate_group(CoxeterContext.from_name("E8"))
     assert type(info.value) is EnumerationCapExceeded
@@ -421,3 +423,103 @@ def test_classes_suite_reports_a_class_missing_its_longest_element(monkeypatch, 
         {"instance": "1", "reason": "class misses its certificate's longest element"},
         {"instance": "1 3", "reason": "class misses its certificate's longest element"},
     ]
+
+
+TABLE_GROUPS = ["H3", "B4", "A5", "D5", "F4", "I2(8)"]
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_inverse_recurrence_matches_reversed_words(name):
+    group = enumerate_group(CoxeterContext.from_name(name))
+    assert group._inverses() == [group.walk(0, reversed(group.word(i)))
+                                 for i in range(len(group))]
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_words_are_distinct_shortlex_normal_forms(name):
+    ctx = CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    words = [group.word(i) for i in range(len(group))]
+    keys = [(len(w), w) for w in words]
+    assert all(map(lt, keys, keys[1:]))  # strictly increasing: distinct and ShortLex
+    for w in words:
+        assert ctx.element(w).word == w
+
+
+@pytest.mark.parametrize("name,bits", [("B4", 4), ("B4", 6), ("D5", 5), ("H3", 6), ("I2(8)", 6)])
+def test_narrow_keys_raise_instead_of_returning_a_wrong_group(name, bits):
+    # at these widths a coefficient (or rho itself) leaves the window in
+    # which the next reflection is exact
+    ctx = CoxeterContext.from_name(name)
+    with pytest.raises(ArithmeticError):
+        finite._bfs(ctx, ctx.order, bits)
+
+
+def test_enumeration_widens_keys_until_the_guard_holds(monkeypatch):
+    ctx = CoxeterContext.from_name("B4")
+    want = finite._bfs(ctx, ctx.order, 32)
+    widths = []
+    bfs = finite._bfs
+
+    def recording_bfs(ctx, order, bits):
+        widths.append(bits)
+        return bfs(ctx, order, bits)
+
+    monkeypatch.setattr(finite, "_KEY_BITS", 4)
+    monkeypatch.setattr(finite, "_bfs", recording_bfs)
+    group = enumerate_group(ctx)
+    assert widths == [4, 8]
+    assert (group._parent, group._last, group._steps) == want
+
+
+def test_large_dihedral_group_needs_wide_keys():
+    # I2(101) lives at field degree 50, where orbit coefficients pass 2^32
+    ctx = CoxeterContext.from_name("I2(101)")
+    with pytest.raises(ArithmeticError):
+        finite._bfs(ctx, ctx.order, 32)
+    group = enumerate_group(ctx)
+    assert len(group) == 202
+    words = [group.word(i) for i in range(len(group))]
+    assert words[1:4] == [(0,), (1,), (0, 1)]
+    assert len(set(words)) == 202 and max(map(len, words)) == 101
+
+
+def test_classes_suite_counts_involutions_from_the_inverse_table(monkeypatch):
+    # one element is built per class, for its certificate; none for the count
+    def no_involutions(group):
+        raise AssertionError("involutions() was called")
+
+    built = []
+    getitem = finite._Elements.__getitem__
+
+    def counting_getitem(self, i):
+        built.append(i)
+        return getitem(self, i)
+
+    monkeypatch.setattr(finite, "involutions", no_involutions)
+    monkeypatch.setattr(finite._Elements, "__getitem__", counting_getitem)
+    group = enumerate_group(CoxeterContext.from_name("B4"))
+    checked, failures = finite.verify_suite("classes", group)
+    assert (checked, failures) == (9, [])
+    assert len(built) == 9
+
+
+@pytest.mark.parametrize("suite", finite.SUITES)
+def test_verify_frees_its_group_by_reference_counting(monkeypatch, capsys, suite):
+    refs = []
+
+    def watched_enumerate(ctx, cap):
+        group = enumerate_group(ctx, cap)
+        refs.append(weakref.ref(group))
+        return group
+
+    monkeypatch.setattr(cli, "enumerate_group", watched_enumerate)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert cli.main(["verify", "--type", "B4", "--suite", suite, "--json"]) == 0
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -16,6 +16,7 @@ from coxcent import (
     word_from_string,
     word_to_string,
 )
+from coxcent import catalog, cli
 
 # Two non-catalog systems: infinite bonds with labels 3 and 4 (field degree
 # 4), and labels 5, 7, 5 over Q(2cos(pi/35)), field degree 12.
@@ -72,6 +73,30 @@ def test_is_finite_parabolic(context_of):
     assert not is_finite_parabolic(ctx, (0, 1, 2))
     i27 = context_of("I2(7)")
     assert is_finite_parabolic(i27, (0, 1))
+
+
+def test_finite_group_never_classifies_a_parabolic(monkeypatch, capsys):
+    # W(D5) is finite, so each of its parabolics is: the catalog classifies
+    # the diagram of W once per context and no subdiagram at all
+    calls = []
+    real = catalog.is_finite_diagram
+
+    def counting(matrix, subset):
+        calls.append(subset)
+        return real(matrix, subset)
+
+    monkeypatch.setattr(catalog, "is_finite_diagram", counting)
+    assert cli.main(["verify", "--type", "D5", "--suite", "prop1", "--json"]) == 0
+    assert calls == []
+
+
+def test_infinite_group_still_classifies_its_parabolics():
+    ctx = CoxeterContext.from_name("Atilde2")  # fresh: no memo filled yet
+    assert ctx.order is None
+    with pytest.raises(ValueError):
+        longest_element(ctx, {0, 1, 2})
+    assert not is_minus_one_type(ctx, {0, 1, 2})
+    assert is_minus_one_type(ctx, {0})
 
 
 def test_longest_elements(context_of):
