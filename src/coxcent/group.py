@@ -16,8 +16,11 @@ d = 1 that is just the int coordinates.  A reflection is one pass over a
 precomputed integer table of the context, with no scalar object built.  The
 public edge (Root, action_coeff, act, column, reflect, inversion_set) hands
 out AlgebraicScalar coordinates at d >= 2 and plain ints at d = 1.  Every
-sign of a flat coordinate is read through CoxeterContext._coord_sign, which
-at d >= 2 asks AlgebraicScalar.sign, the one exact sign path.
+sign of a flat coordinate, Root.is_positive's included, is read through
+CoxeterContext._coord_sign, which at d >= 2 hands the coordinate's int slice
+to FieldContext.sign, the one exact sign path; the tables come from
+FieldContext.multiples.  AlgebraicScalar is named only at the public edge
+(_flat, _root).
 
 A group element is its ShortLex reduced word plus, once asked for, the vector
 w^-1(rho) in weight coordinates, where rho = (1, ..., 1).  Coordinate t of
@@ -45,7 +48,7 @@ pure functions of their inputs, safe to share between threads.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .scalar import AlgebraicScalar, FieldContext
 
@@ -59,30 +62,6 @@ def _bond_order(m: int) -> int:
     """The k whose 2cos(pi/k) label m needs: 4cos^2(pi/m) is 2cos(pi/m)^2 for odd m,
     and 2 + 2cos(pi/k) with k = m/2 for even m."""
     return m if m % 2 else m // 2
-
-
-def _sign(x) -> int:
-    """Exact sign of a coordinate: a plain int (field degree 1) or an AlgebraicScalar."""
-    if isinstance(x, AlgebraicScalar):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
-def _theta_multiples(a, field: FieldContext) -> list[tuple]:
-    """Columns of the multiplication matrix of a: a*theta^j for j < d, as int coefficients.
-
-    Each column is the previous one times theta: a shift, with the theta^d
-    term folded back through the monic minimal polynomial.
-    """
-    column = a.coeffs
-    columns = [column]
-    for _ in range(field.degree - 1):
-        top = column[-1]
-        column = (0,) + column[:-1]
-        if top:
-            column = tuple(c - top * m for c, m in zip(column, field.min_poly))
-        columns.append(column)
-    return columns
 
 
 class MixedSignRootError(ArithmeticError):
@@ -143,9 +122,13 @@ class Root:
         Raises MixedSignRootError if the coordinates mix signs (or all vanish),
         which signals an arithmetic bug rather than a property of the input.
         """
+        ctx = self.context
+        v = ctx._flat(self.coords)
+        den = lcm(*[c.denominator for c in v])  # a positive scale: same signs, int coefficients
+        v = [c.numerator * (den // c.denominator) for c in v]
         pos = neg = False
-        for c in self.coords:
-            s = _sign(c)
+        for t in range(len(self.coords)):
+            s = ctx._coord_sign(v, t)
             if s > 0:
                 pos = True
             elif s < 0:
@@ -200,9 +183,12 @@ class CoxeterContext:
     walks make the table pass, then negate block s.
 
     Immutable and shareable apart from two memos keyed by generator subset,
-    which only ever gain entries: _longest_memo (involution.longest_element)
-    and _minus_one_memo (involution.is_minus_one_type); and _order, read
-    from the catalog at most once (`order`).
+    which only ever gain entries: _longest_memo (involution.longest_element),
+    holding (word, orbit_key) pairs, and _minus_one_memo
+    (involution.is_minus_one_type); and _order, read from the catalog at most
+    once (`order`).  No attribute holds a GroupElement, which points back at
+    its context, so a context that falls out of use is freed by reference
+    counting, with no wait for the cycle collector.
     """
 
     def __init__(self, matrix):
@@ -249,7 +235,7 @@ class CoxeterContext:
                 tuple((t, ((s, -coeff[s][t]),)) for t in neighbors[s]) for s in range(n)
             )
         else:
-            columns = {(s, t): _theta_multiples(coeff[s][t], field)
+            columns = {(s, t): list(field.multiples(coeff[s][t].coeffs))
                        for s in range(n) for t in neighbors[s]}
             self._weight_table = tuple(
                 tuple((s * d + j, pairs) for j in range(d)
@@ -269,9 +255,7 @@ class CoxeterContext:
         self._simple_roots = tuple(
             (0,) * (s * d) + unit + (0,) * ((n - 1 - s) * d) for s in range(n)
         )
-        self._identity = GroupElement(self, (), self._rho)
-        self._generators = tuple(GroupElement(self, (s,)) for s in range(n))
-        self._longest_memo: dict[frozenset, GroupElement] = {}
+        self._longest_memo: dict[frozenset, tuple[tuple, tuple]] = {}
         self._minus_one_memo: dict[frozenset, bool] = {}
         self._order = ...  # not read from the catalog yet
 
@@ -322,7 +306,7 @@ class CoxeterContext:
         if d == 1:
             x = v[t]
             return (x > 0) - (x < 0)
-        return AlgebraicScalar(self.field, tuple(v[t * d : t * d + d])).sign()
+        return self.field.sign(v[t * d : t * d + d])
 
     def _negative_coords(self, v) -> frozenset[int]:
         return frozenset(t for t in range(self.rank) if self._coord_sign(v, t) < 0)
@@ -399,10 +383,10 @@ class CoxeterContext:
     # --- public construction ---
 
     def identity(self) -> "GroupElement":
-        return self._identity
+        return GroupElement(self, (), self._rho)
 
     def generator(self, s: int) -> "GroupElement":
-        return self._generators[s]
+        return self.element((s,))
 
     def simple_root(self, s: int) -> Root:
         return self._root(self._simple_roots[s])

@@ -56,18 +56,19 @@ def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
 def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
     """Longest element of a finite standard parabolic, by greedy ascent.
 
-    The ascent is CoxeterContext.greedy_longest; results are memoized per
-    context.  Rejects infinite parabolics.
+    The ascent is CoxeterContext.greedy_longest; its word and orbit key are
+    memoized per context, and each call wraps them in a new element, so the
+    memo holds nothing that points back at the context.  Rejects infinite
+    parabolics.
     """
     key = frozenset(subset)
     cached = ctx._longest_memo.get(key)
-    if cached is not None:
-        return cached
-    if not is_finite_parabolic(ctx, key):
-        raise ValueError(f"infinite parabolic subgroup on {sorted(s + 1 for s in key)}")
-    element = ctx.greedy_longest(key)
-    ctx._longest_memo[key] = element
-    return element
+    if cached is None:
+        if not is_finite_parabolic(ctx, key):
+            raise ValueError(f"infinite parabolic subgroup on {sorted(s + 1 for s in key)}")
+        element = ctx.greedy_longest(key)
+        cached = ctx._longest_memo[key] = (element.word, element.orbit_key())
+    return GroupElement(ctx, *cached)
 
 
 def is_minus_one_type(ctx: CoxeterContext, subset) -> bool:

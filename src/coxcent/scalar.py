@@ -11,7 +11,13 @@ test are therefore exact.  A sign is decided by interval Horner over a
 certified enclosure of theta whose ends are dyadic rationals, computed on
 scaled integers with no Fraction and no float; the enclosure is narrowed by
 bisection until the evaluation excludes zero, within a number of halvings
-bounded from the coefficients (AlgebraicScalar._compute_sign).
+bounded from the coefficients (FieldContext.sign).
+
+FieldContext owns the field arithmetic on plain coefficient tuples: the exact
+sign of an int tuple (sign) and the products with powers of theta, reduced
+modulo the minimal polynomial (multiples).  group.CoxeterContext calls both
+on its flat int vectors with no scalar object built; AlgebraicScalar is the
+value at the public edge, and calls into its field for * and sign.
 
 The minimal polynomial is obtained from the cyclotomic polynomial of order 2N:
 with z on the unit circle and y = z + 1/z, a palindromic Phi_{2N}(z) of degree
@@ -194,8 +200,7 @@ class FieldContext:
     """
 
     __slots__ = (
-        "order", "min_poly", "degree", "zero", "one", "theta",
-        "_reduction", "_interval", "_sign_at_lo", "_theta_float",
+        "order", "min_poly", "degree", "zero", "one", "theta", "_interval", "_sign_at_lo",
     )
 
     def __init__(self, order: int):
@@ -207,21 +212,6 @@ class FieldContext:
         self.min_poly = two_cos_minimal_poly(order)
         d = len(self.min_poly) - 1
         self.degree = d
-
-        # theta^(d+k) in the power basis, for reducing products
-        reduction = []
-        top = [-c for c in self.min_poly[:d]]
-        reduction.append(tuple(top))
-        for _ in range(d - 2):
-            prev = reduction[-1]
-            shifted = [0] + list(prev[: d - 1])
-            lead = prev[d - 1]
-            if lead:
-                for t in range(d):
-                    shifted[t] += lead * top[t]
-            reduction.append(tuple(shifted))
-        self._reduction = tuple(reduction)
-
         self.zero = AlgebraicScalar(self, (0,) * d)
         one = [0] * d
         one[0] = 1
@@ -237,7 +227,6 @@ class FieldContext:
             coeffs = [0] * d
             coeffs[1] = 1
             self.theta = AlgebraicScalar(self, tuple(coeffs))
-        self._theta_float = 2.0 * cos(pi / order)
 
     def _initial_interval(self) -> tuple[Fraction, Fraction]:
         # Certified seed around the float value: widen until the minimal
@@ -273,6 +262,71 @@ class FieldContext:
             else:
                 hi = mid
         self._interval = (lo, hi)
+
+    def sign(self, coeffs) -> int:
+        """Exact sign of sum coeffs[k] theta^k for d ints, by interval Horner on
+        scaled integers; no Fraction, no float.
+
+        The ints are evaluated by _scaled_horner over the current enclosure of
+        theta, whose ends are dyadic (a float seed plus or minus 2^-k, then
+        bisected).  An enclosure that excludes zero decides the sign; otherwise
+        theta is narrowed and the evaluation repeats.  The field's interval is
+        read once per attempt, so a concurrent narrowing is never half seen.
+
+        The narrowing is bounded.  The cleared value p(theta) = sum c_k theta^k
+        is a nonzero algebraic integer of degree d (deg p < d), and every
+        conjugate 2cos(j*pi/N) of theta lies in [-2, 2], so every conjugate of
+        p(theta) is at most B = sum |c_k| 2^k in absolute value.  Their product,
+        the norm, is a nonzero integer, so |p(theta)| >= B^-(d-1).  The
+        enclosure [lo, hi] of theta, of width h, lies inside [-3, 3] (its seed
+        is within 2^-8 of theta in [0, 2)), and an interval product A*X is at
+        most |A| w(X) + |X| w(A) wide, so the Horner enclosure is at most h * W
+        wide, W = sum k |c_k| 3^(k-1).  Once h * W * B^(d-1) < 1, an enclosure
+        containing zero would put |p(theta)| below its bound, so it excludes
+        zero; an undecided sign after that many halvings is an ArithmeticError.
+        """
+        if not any(coeffs[1:]):  # rational, and zero exactly when coeffs[0] is
+            c = coeffs[0]
+            return (c > 0) - (c < 0)
+        top = len(coeffs)
+        while not coeffs[top - 1]:
+            top -= 1
+        ints = coeffs[:top]
+        budget = None  # halvings left before the enclosure must decide
+        halvings = 8
+        while True:
+            lo, hi = self._interval
+            rlo, rhi = _scaled_horner(ints, lo, hi)
+            if rlo > 0:
+                return 1
+            if rhi < 0:
+                return -1
+            if budget is None:
+                bound = sum(abs(c) << k for k, c in enumerate(ints)) ** (self.degree - 1)
+                widening = sum(k * abs(c) * 3 ** (k - 1) for k, c in enumerate(ints) if k)
+                budget = int((hi - lo) * widening * bound).bit_length()  # 2^budget > h*W*B^(d-1)
+            if budget <= 0:
+                raise ArithmeticError("sign undecided on an enclosure narrow enough to decide it")
+            step = min(halvings, budget)
+            self.refine_theta(step)
+            budget -= step
+            halvings *= 2
+
+    def multiples(self, coeffs):
+        """Yield c*theta^j for j < d as coefficient tuples, c given by its d coefficients.
+
+        Each is the previous one times theta: a shift, with the theta^d term
+        folded back through the monic minimal polynomial.  Lazy, so a caller
+        that needs only the first few columns builds no more.
+        """
+        column = tuple(coeffs)
+        yield column
+        for _ in range(self.degree - 1):
+            top = column[-1]
+            column = (0,) + column[:-1]
+            if top:
+                column = tuple(c - top * m for c, m in zip(column, self.min_poly))
+            yield column
 
     def rational(self, value) -> "AlgebraicScalar":
         coeffs = [0] * self.degree
@@ -366,38 +420,17 @@ class AlgebraicScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        field = self.field
-        d = field.degree
-        a, b = self.coeffs, other.coeffs
-        # rational factors need no reduction and scale coordinate-wise
-        if not any(a[1:]):
-            c = a[0]
-            if not c:
-                return field.zero
-            if c == 1:
-                return other
-            return AlgebraicScalar(field, tuple(c * x for x in b))
-        if not any(b[1:]):
-            c = b[0]
-            if not c:
-                return field.zero
-            if c == 1:
-                return self
-            return AlgebraicScalar(field, tuple(c * x for x in a))
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        a = self.coeffs
+        top = len(a)
+        while top and not a[top - 1]:
+            top -= 1
+        # a*b = sum a_i (b theta^i); the columns past a's last nonzero coefficient are never built
+        out = [0] * len(a)
+        for ai, column in zip(a[:top], self.field.multiples(other.coeffs)):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                red = field._reduction[k - d]
-                for t in range(d):
-                    out[t] += c * red[t]
-        return AlgebraicScalar(field, tuple(out))
+                for k, c in enumerate(column):
+                    out[k] += ai * c
+        return AlgebraicScalar(self.field, tuple(out))
 
     __rmul__ = __mul__
 
@@ -420,71 +453,19 @@ class AlgebraicScalar:
         return not any(self.coeffs)
 
     def sign(self) -> int:
-        """-1, 0 or +1; exact zero test first, then certified interval refinement."""
+        """-1, 0 or +1: the coefficients are cleared of denominators by their
+        positive lcm, and the field decides the sign of the ints exactly."""
         s = self._sign
         if s is None:
-            s = self._compute_sign()
-            self._sign = s
+            coeffs = self.coeffs
+            den = lcm(*[c.denominator for c in coeffs])
+            if den != 1:
+                coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+            s = self._sign = self.field.sign(coeffs)
         return s
 
-    def _compute_sign(self) -> int:
-        """Exact sign by interval Horner on scaled integers; no Fraction, no float.
-
-        The coefficients are cleared of denominators by their positive lcm and
-        evaluated by _scaled_horner over the current enclosure of theta, whose
-        ends are dyadic (a float seed plus or minus 2^-k, then bisected).  An
-        enclosure that excludes zero decides the sign; otherwise theta is
-        narrowed and the evaluation repeats.  The field's interval is read
-        once per attempt, so a concurrent narrowing is never half seen.
-
-        The narrowing is bounded.  The cleared value p(theta) = sum c_k theta^k
-        is a nonzero algebraic integer of degree d (deg p < d), and every
-        conjugate 2cos(j*pi/N) of theta lies in [-2, 2], so every conjugate of
-        p(theta) is at most B = sum |c_k| 2^k in absolute value.  Their product,
-        the norm, is a nonzero integer, so |p(theta)| >= B^-(d-1).  The
-        enclosure [lo, hi] of theta, of width h, lies inside [-3, 3] (its seed
-        is within 2^-8 of theta in [0, 2)), and an interval product A*X is at
-        most |A| w(X) + |X| w(A) wide, so the Horner enclosure is at most h * W
-        wide, W = sum k |c_k| 3^(k-1).  Once h * W * B^(d-1) < 1, an enclosure
-        containing zero would put |p(theta)| below its bound, so it excludes
-        zero; an undecided sign after that many halvings is an ArithmeticError.
-        """
-        coeffs = self.coeffs
-        if not any(coeffs):
-            return 0
-        if not any(coeffs[1:]):
-            c = coeffs[0]
-            return 1 if c > 0 else -1
-        field = self.field
-        top = len(coeffs)
-        while not coeffs[top - 1]:
-            top -= 1
-        ints = coeffs[:top]
-        den = lcm(*[c.denominator for c in ints])
-        if den != 1:
-            ints = [c.numerator * (den // c.denominator) for c in ints]
-        budget = None  # halvings left before the enclosure must decide
-        halvings = 8
-        while True:
-            lo, hi = field._interval
-            rlo, rhi = _scaled_horner(ints, lo, hi)
-            if rlo > 0:
-                return 1
-            if rhi < 0:
-                return -1
-            if budget is None:
-                bound = sum(abs(c) << k for k, c in enumerate(ints)) ** (field.degree - 1)
-                widening = sum(k * abs(c) * 3 ** (k - 1) for k, c in enumerate(ints) if k)
-                budget = int((hi - lo) * widening * bound).bit_length()  # 2^budget > h*W*B^(d-1)
-            if budget <= 0:
-                raise ArithmeticError("sign undecided on an enclosure narrow enough to decide it")
-            step = min(halvings, budget)
-            field.refine_theta(step)
-            budget -= step
-            halvings *= 2
-
     def to_float(self) -> float:
-        x = self.field._theta_float
+        x = 2.0 * cos(pi / self.field.order)
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)

@@ -523,3 +523,25 @@ def test_verify_frees_its_group_by_reference_counting(monkeypatch, capsys, suite
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("system", ["B4", "H3"])
+def test_context_is_freed_by_reference_counting(system):
+    # no context attribute (memo, identity, generators) holds a GroupElement,
+    # which would point back at the context and leave it to the cycle collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = CoxeterContext.from_name(system)
+        group = enumerate_group(ctx)
+        for suite in ("main", "classes"):
+            assert finite.verify_suite(suite, group)[1] == []
+        w = longest_element(ctx, {0, 1})
+        assert involution_certificate(w).verify(w)
+        assert ctx.identity() * ctx.generator(0) == ctx.generator(0)
+        ref = weakref.ref(ctx)
+        del ctx, group, w
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -109,6 +110,31 @@ def test_is_positive_and_mixed_signs(context_of):
         Root(ctx, (one, -one)).is_positive()
     with pytest.raises(MixedSignRootError):
         Root(ctx, (ctx.field.zero, ctx.field.zero)).is_positive()
+
+
+def test_is_positive_reads_exact_signs_of_fraction_coordinates():
+    # phi*F_n - F_(n+1) = -(-1/phi)^n is too near zero for the seed interval of
+    # theta = phi, so the sign refines theta; a third of it has Fraction
+    # coefficients, which the halving budget needs cleared to ints
+    ctx = CoxeterContext.from_name("H3")
+    theta = ctx.field.theta
+    fib = [0, 1]
+    while len(fib) < 33:
+        fib.append(fib[-1] + fib[-2])
+    for n in (30, 31):
+        x = (theta * fib[n] - fib[n + 1]) * Fraction(1, 3)
+        assert Root(ctx, (x, 2 * x, x)).is_positive() == (n % 2 == 1)
+
+
+def test_generator_checks_its_index(context_of):
+    ctx = context_of("A2")
+    assert ctx.generator(1).word == (1,)
+    for s in (-1, ctx.rank):
+        with pytest.raises(ValueError, match="out of range") as from_generator:
+            ctx.generator(s)
+        with pytest.raises(ValueError) as from_element:
+            ctx.element((s,))
+        assert str(from_generator.value) == str(from_element.value)
 
 
 def test_descents(context_of):

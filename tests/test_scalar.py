@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -429,10 +430,15 @@ def test_sign_matches_fraction_horner_and_mpmath(order, count, max_q):
     cofactor = f.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                               for _ in range(d)])
     scalars += near_zero + [x * cofactor for x in near_zero]
+    scalars += [f.rational(rng.choice((-1, 1)) * rng.randint(1, 50)),
+                f.rational(Fraction(rng.randint(-50, -1), rng.randint(2, 12)))]
+    assert f.sign((0,) * d) == 0 and f.zero.sign() == 0
     for x in scalars:
         value = eval_numeric(x)
         assert abs(value) > mpmath.mpf(10) ** -30
         expected = 1 if value > 0 else -1
+        if all(type(c) is int for c in x.coeffs):  # the int path of CoxeterContext._coord_sign
+            assert f.sign(x.coeffs) == expected, x
         assert x.sign() == expected, x
         assert _fraction_sign(x.coeffs, f.min_poly, enclosure) == expected, x
     lo, hi = f._interval
@@ -443,9 +449,10 @@ def test_sign_matches_fraction_horner_and_mpmath(order, count, max_q):
                          ids=["deg2", "deg12", "deg125"])
 def test_sign_that_never_decides_raises_within_its_halving_budget(monkeypatch, order, size, den):
     # A kernel whose enclosure always straddles zero must exhaust the halving
-    # budget of _compute_sign (|p(theta)| >= B^-(d-1)) and raise, not hang.
+    # budget of FieldContext.sign (|p(theta)| >= B^-(d-1)) and raise, not hang.
     rng = random.Random(order)
     f = FieldContext(order)
+    fresh = FieldContext(order)  # the same seed interval, built before the patch
     x = f.from_coeffs([Fraction(rng.randint(-size, size), rng.randint(1, den))
                        for _ in range(f.degree)])
     halvings = []
@@ -465,3 +472,58 @@ def test_sign_that_never_decides_raises_within_its_halving_budget(monkeypatch, o
         x.sign()
     assert perf_counter() - start < 5
     assert halvings
+    # the int tuple path of CoxeterContext._coord_sign, cleared of denominators
+    # here, spends the same halvings from the same seed interval
+    scalar_halvings = halvings[:]
+    halvings.clear()
+    den = lcm(*[c.denominator for c in x.coeffs])
+    ints = tuple(int(c * den) for c in x.coeffs)
+    with pytest.raises(ArithmeticError, match="narrow enough"):
+        fresh.sign(ints)
+    assert halvings == scalar_halvings
+
+
+def _schoolbook_product(a, b, poly):
+    # the product of two coefficient lists of ints and Fractions, reduced by
+    # exact long division by the monic minimal polynomial: the remainder, low
+    # degree first
+    d = len(poly) - 1
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    for k in range(len(conv) - 1, d - 1, -1):
+        q = conv[k]
+        for j, m in enumerate(poly):
+            conv[k - d + j] -= q * m
+    return tuple(conv[:d])
+
+
+@pytest.mark.parametrize("order", [5, 12, 35, 251], ids=["deg2", "deg4", "deg12", "deg125"])
+def test_multiples_and_products_match_polynomial_division(order):
+    # FieldContext.multiples is shared by AlgebraicScalar.__mul__ and the
+    # Cartan tables of CoxeterContext, so it is checked against two sides
+    # that do not use it: from_coeffs' top-down elimination, and a schoolbook
+    # product reduced by polynomial division.  The vectors include zero top
+    # coefficients, rational and zero ones, with int and Fraction entries; a
+    # Fraction vector is zero past its first 12 coefficients, so that degree
+    # 125 stays fast in from_coeffs.
+    rng = random.Random(f"multiples-{order}")
+    f = FieldContext(order)
+    d = f.degree
+    vectors = [[0] * d, [rng.randint(-9, 9)] + [0] * (d - 1)]
+    for _ in range(3 if d < 100 else 1):
+        top = rng.randint(1, d)
+        vectors.append([rng.randint(-50, 50) for _ in range(top)] + [0] * (d - top))
+        top = rng.randint(1, min(d, 12))
+        vectors.append([Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(top)]
+                       + [0] * (d - top))
+    for c in vectors:
+        multiples = list(f.multiples(c))
+        assert len(multiples) == d
+        for j, column in enumerate(multiples):
+            assert column == f.from_coeffs([0] * j + c).coeffs
+    for a in vectors:
+        for b in vectors:
+            product = (f.from_coeffs(a) * f.from_coeffs(b)).coeffs
+            assert product == _schoolbook_product(a, b, f.min_poly), (a, b)
