@@ -74,7 +74,11 @@ def catalog_matrix(family: str, param: int) -> tuple[tuple[int, ...], ...]:
     raise ValueError(f"unknown catalog family {family!r}")
 
 
-_NAME_RE = re.compile(r"^(A|B|D|Atilde)(\d+)$|^(E)([678])$|^(F)(4)$|^(H)([34])$|^I2\((\d+)\)$")
+_NAME_RE = re.compile(r"^(Atilde|A|B|D|E|F|H)(\d+)$|^I2\((\d+)\)$")
+
+# the largest rank a name may ask for: A2000 builds in about 3 s, and the
+# context's n^2 tables grow past the memory of a small machine soon after
+MAX_NAMED_RANK = 2_000
 
 
 def matrix_for_name(name: str) -> tuple[tuple[int, ...], ...]:
@@ -82,23 +86,21 @@ def matrix_for_name(name: str) -> tuple[tuple[int, ...], ...]:
     m = _NAME_RE.match(name.strip())
     if not m:
         raise ValueError(f"unrecognized system name {name!r}")
-    if m.group(1) == "Atilde":
-        n = int(m.group(2))
+    family = m.group(1)
+    if family is None:
+        return catalog_matrix("I2", int(m.group(3)))
+    n = int(m.group(2))
+    rank = n + 1 if family == "Atilde" else n
+    if rank > MAX_NAMED_RANK:
+        raise ValueError(f"{name.strip()} has rank {rank}, over the limit of {MAX_NAMED_RANK}")
+    if family == "Atilde":
         if n < 1:
             raise ValueError("Atilde<n> needs n >= 1")
         if n == 1:
             return _with_edges(2, [(0, 1, INFINITE)])
         edges = _chain_edges(n + 1) + [(0, n, 3)]
         return _with_edges(n + 1, edges)
-    if m.group(1):
-        return catalog_matrix(m.group(1), int(m.group(2)))
-    if m.group(3):
-        return catalog_matrix("E", int(m.group(4)))
-    if m.group(5):
-        return catalog_matrix("F", 4)
-    if m.group(7):
-        return catalog_matrix("H", int(m.group(8)))
-    return catalog_matrix("I2", int(m.group(9)))
+    return catalog_matrix(family, n)
 
 
 def diagram_components(matrix, vertices) -> list[list[int]]:

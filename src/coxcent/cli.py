@@ -1,10 +1,10 @@
 """coxcent: batch CLI for involution certificates and their exhaustive verification.
 
-Subcommands: reduce, involution-nf, centralizer, verify.  A system is chosen
-with --type NAME (catalog grammar: A<n>, B<n>, D<n>, E6|E7|E8, F4, H3|H4,
-I2(<m>), Atilde<n>) or --matrix FILE, a UTF-8 JSON document
-{"rank": n, "m": [[...]]} with 0 encoding an infinite bond.  Generators are
-1-based in all input and output.
+Commands: reduce, involution-nf, centralizer (with --word), verify (with
+--suite).  A system is chosen with --type NAME (catalog grammar: A<n>, B<n>,
+D<n>, E6|E7|E8, F4, H3|H4, I2(<m>), Atilde<n>) or --matrix FILE, a UTF-8 JSON
+document {"rank": n, "m": [[...]]} with 0 encoding an infinite bond.
+Generators are 1-based in all input and output.
 
 Exactly one JSON document goes to standard output; diagnostics go to standard
 error.  Identical inputs produce byte-identical output: every set is emitted
@@ -30,7 +30,7 @@ from .finite import (
     verify_suite,
 )
 from .group import CoxeterContext, word_from_string, word_to_string
-from .involution import involution_certificate, is_minus_one_type, longest_element
+from .involution import involution_certificate, is_minus_one_type
 
 
 def _positive_int(text: str) -> int:
@@ -43,31 +43,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# the input each command takes besides its system
+COMMAND_INPUT = {"reduce": "word", "involution-nf": "word", "centralizer": "word",
+                 "verify": "suite"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxcent",
         description="Involution certificates and centralizer verification in Coxeter groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_word, needs_suite in (
-        ("reduce", True, False),
-        ("involution-nf", True, False),
-        ("centralizer", True, False),
-        ("verify", False, True),
-    ):
-        p = sub.add_parser(name)
-        system = p.add_mutually_exclusive_group(required=True)
-        system.add_argument("--type", dest="type_name", metavar="NAME")
-        system.add_argument("--matrix", dest="matrix_file", metavar="FILE")
-        if needs_word:
-            p.add_argument("--word", required=True, metavar="INDICES",
-                           help="whitespace-separated 1-based generator indices")
-        if needs_suite:
-            p.add_argument("--suite", required=True, choices=SUITES)
-        p.add_argument("--max-order", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
-                       metavar="N", help="enumeration cap (default %(default)s)")
-        p.add_argument("--json", action="store_true",
-                       help="compact single-line JSON instead of indented")
+    parser.add_argument("command", choices=COMMAND_INPUT)
+    system = parser.add_mutually_exclusive_group(required=True)
+    system.add_argument("--type", dest="type_name", metavar="NAME")
+    system.add_argument("--matrix", dest="matrix_file", metavar="FILE")
+    parser.add_argument("--word", metavar="INDICES",
+                        help="whitespace-separated 1-based generator indices")
+    parser.add_argument("--suite", choices=SUITES)
+    parser.add_argument("--max-order", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
+                        metavar="N", help="enumeration cap (default %(default)s)")
+    parser.add_argument("--json", action="store_true",
+                        help="compact single-line JSON instead of indented")
     return parser
 
 
@@ -149,7 +145,7 @@ def cmd_involution_nf(ctx, system, word) -> tuple[dict, int]:
     except ValueError:  # the descent decides w^2 = 1; this is its only ValueError
         return _not_an_involution(system, el)
     u = cert.conjugator
-    rho = longest_element(ctx, cert.subset)
+    rho = cert.target()
     checks = {
         "minus_one_type": is_minus_one_type(ctx, cert.subset),
         "conjugation_exact": ctx.represents(u.word + el.word + u.word[::-1], rho),
@@ -218,16 +214,23 @@ def cmd_verify(ctx, system, suite, cap) -> tuple[dict, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    needs = COMMAND_INPUT[args.command]
+    if getattr(args, needs) is None:
+        parser.error(f"{args.command} needs --{needs}")
+    for other in set(COMMAND_INPUT.values()) - {needs}:
+        if getattr(args, other) is not None:
+            parser.error(f"{args.command} takes no --{other}")
     ctx, system = _load_system(args, parser)
+    word = _parse_word(ctx, args.word, parser) if needs == "word" else None
+    # the cmd_* names are looked up at each call, so a wrapper rebound over a
+    # module global (as bench/tracer.py does) sees the call
     try:
         if args.command == "reduce":
-            doc, code = cmd_reduce(ctx, system, _parse_word(ctx, args.word, parser))
+            doc, code = cmd_reduce(ctx, system, word)
         elif args.command == "involution-nf":
-            doc, code = cmd_involution_nf(ctx, system, _parse_word(ctx, args.word, parser))
+            doc, code = cmd_involution_nf(ctx, system, word)
         elif args.command == "centralizer":
-            doc, code = cmd_centralizer(
-                ctx, system, _parse_word(ctx, args.word, parser), args.max_order
-            )
+            doc, code = cmd_centralizer(ctx, system, word, args.max_order)
         else:
             doc, code = cmd_verify(ctx, system, args.suite, args.max_order)
     except (ValueError, ArithmeticError) as exc:
@@ -235,7 +238,3 @@ def main(argv=None) -> int:
         return 1
     _emit(doc, args.json)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -498,12 +498,6 @@ class GroupElement:
         self.word = word
         self._inv_rho = inv_rho
 
-    def _inverse_rho(self) -> tuple:
-        v = self._inv_rho
-        if v is None:
-            v = self._inv_rho = self.context.orbit_key(self.word)
-        return v
-
     @property
     def length(self) -> int:
         return len(self.word)
@@ -534,7 +528,10 @@ class GroupElement:
 
     def orbit_key(self) -> tuple:
         """A hashable key, equal for two elements of one context iff they are equal."""
-        return self._inverse_rho()
+        v = self._inv_rho
+        if v is None:
+            v = self._inv_rho = self.context.orbit_key(self.word)
+        return v
 
     def act(self, root: Root) -> Root:
         """Image of a root under this element's action on the representation space."""
@@ -545,7 +542,7 @@ class GroupElement:
 
     def right_descents(self) -> frozenset[int]:
         """Generators s with length(w s) < length(w), i.e. w * alpha_s negative."""
-        return self.context._negative_coords(self._inverse_rho())
+        return self.context._negative_coords(self.orbit_key())
 
     def left_descents(self) -> frozenset[int]:
         ctx = self.context

@@ -1,11 +1,13 @@
 """Named diagram construction and finite-type recognition."""
 
 import random
+from time import perf_counter
 
 import pytest
 
 from coxcent import CoxeterContext, enumerate_group
 from coxcent.catalog import (
+    MAX_NAMED_RANK,
     catalog_matrix,
     diagram_components,
     group_order,
@@ -40,6 +42,22 @@ def test_named_matrices_spotcheck():
 def test_bad_names_rejected(bad):
     with pytest.raises(ValueError):
         matrix_for_name(bad)
+
+
+@pytest.mark.parametrize("name", [f"A{MAX_NAMED_RANK + 1}", f"B{MAX_NAMED_RANK + 1}",
+                                  f"Atilde{MAX_NAMED_RANK}", "A10000000000"])
+def test_names_over_the_rank_limit_rejected_before_building(name):
+    start = perf_counter()
+    with pytest.raises(ValueError, match="rank"):
+        matrix_for_name(name)
+    assert perf_counter() - start < 0.5
+
+
+def test_names_with_leading_zeros_and_small_ranks_accepted():
+    assert matrix_for_name("E06") == matrix_for_name("E6")
+    assert matrix_for_name("A03") == catalog_matrix("A", 3)
+    assert len(matrix_for_name("A60")) == 60
+    assert len(matrix_for_name("Atilde60")) == 61
 
 
 @pytest.mark.parametrize(

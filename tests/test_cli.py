@@ -1,16 +1,36 @@
-"""The coxcent command line: JSON reports, exit codes, determinism."""
+"""The coxcent command line: JSON reports, exit codes, determinism.
 
+Most tests call `cli.main` in this process.  The tests that need a real
+process (hash seeds, a closed pipe, `__main__.run`'s exit codes) start
+`python -m coxcent`.
+"""
+
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+
+from coxcent import cli
 
 COX = [sys.executable, "-m", "coxcent"]
 
 
-def run(*args):
+def run_process(*args):
     return subprocess.run(COX + list(args), capture_output=True, text=True)
+
+
+def run(*args):
+    """cli.main in this process, with the exit code and streams a process would give."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def run_json(*args):
@@ -115,7 +135,7 @@ def test_verify_prop_suites_small():
 
 
 def test_verify_cap_exceeded():
-    proc = run("verify", "--type", "Atilde2", "--suite", "main", "--max-order", "500")
+    proc = run_process("verify", "--type", "Atilde2", "--suite", "main", "--max-order", "500")
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert "cap" in doc["error"]
@@ -170,6 +190,13 @@ def test_type_with_field_degree_over_limit_is_usage_error():
     assert "degree 500001" in proc.stderr
 
 
+def test_type_with_rank_over_limit_is_usage_error():
+    proc = run("reduce", "--type", "A10000000000", "--word", "1 2 1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "rank 10000000000" in proc.stderr
+
+
 def test_matrix_file_with_field_degree_over_limit(tmp_path):
     # lcm(7, 11, 13) = 1001: the field would have degree 360
     path = tmp_path / "deg360.json"
@@ -182,8 +209,8 @@ def test_matrix_file_with_field_degree_over_limit(tmp_path):
 
 def test_json_flag_compact_and_deterministic():
     args = ("verify", "--type", "B3", "--suite", "main", "--json")
-    first = run(*args)
-    second = run(*args)
+    first = run_process(*args)
+    second = run_process(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.count("\n") == 1  # single compact line
@@ -192,8 +219,46 @@ def test_json_flag_compact_and_deterministic():
 
 
 def test_missing_system_is_usage_error():
-    proc = run("reduce", "--word", "1")
+    proc = run_process("reduce", "--word", "1")
     assert proc.returncode == 2
+
+
+# the input each command takes besides its system, with a valid value
+OWN_INPUT = {"reduce": ("--word", "1"), "involution-nf": ("--word", "1"),
+             "centralizer": ("--word", "1"), "verify": ("--suite", "classes")}
+
+
+@pytest.mark.parametrize("command", OWN_INPUT)
+def test_command_input_contract(command):
+    own = OWN_INPUT[command]
+    other = ("--suite", "classes") if own[0] == "--word" else ("--word", "1")
+    with_word = own if own[0] == "--word" else ()
+    for argv, option in (
+        ((command, "--type", "A2"), own[0]),
+        ((command, "--type", "A2") + own + other, other[0]),
+        ((command, "--type", "A2") + with_word + ("--suite", "nope"), "--suite"),
+    ):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == "", argv
+        assert option in proc.stderr, argv
+
+
+@pytest.mark.parametrize("argv", [(), ("--type", "A2", "--word", "1"),
+                                  ("frobnicate", "--type", "A2", "--word", "1")],
+                         ids=["none", "options-only", "unknown"])
+def test_missing_or_unknown_command_is_usage_error(argv):
+    proc = run(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "command" in proc.stderr
+
+
+def test_help_lists_the_commands():
+    proc = run("--help")
+    assert proc.returncode == 0
+    for command in OWN_INPUT:
+        assert command in proc.stdout
 
 
 def test_closed_stdout_is_not_a_crash():
