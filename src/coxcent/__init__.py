@@ -12,8 +12,6 @@ from .scalar import AlgebraicScalar, FieldContext, FieldDegreeError
 from .group import (
     CoxeterContext,
     GroupElement,
-    MixedSignRootError,
-    Root,
     word_from_string,
     word_to_string,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "FieldDegreeError",
     "CoxeterContext",
     "GroupElement",
-    "MixedSignRootError",
-    "Root",
     "word_from_string",
     "word_to_string",
     "InvolutionCertificate",

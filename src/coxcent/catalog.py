@@ -79,6 +79,10 @@ _NAME_RE = re.compile(r"^(Atilde|A|B|D|E|F|H)(\d+)$|^I2\((\d+)\)$")
 # the largest rank a name may ask for: A2000 builds in about 3 s, and the
 # context's n^2 tables grow past the memory of a small machine soon after
 MAX_NAMED_RANK = 2_000
+# the largest m of a name I2(m): up to it the field Q(2cos(pi/k)), k = m or
+# m/2, factors k and names the exact degree of a label it refuses (the
+# largest label whose field it builds is 1050)
+MAX_NAMED_LABEL = 1 << 32
 
 
 def matrix_for_name(name: str) -> tuple[tuple[int, ...], ...]:
@@ -87,13 +91,22 @@ def matrix_for_name(name: str) -> tuple[tuple[int, ...], ...]:
     if not m:
         raise ValueError(f"unrecognized system name {name!r}")
     family = m.group(1)
+    # a number with more digits than its limit is over it, and is not passed
+    # to int(), which refuses 4,300 digits with a message about a Python setting
+    digits = (m.group(2) or m.group(3)).lstrip("0") or "0"
     if family is None:
-        return catalog_matrix("I2", int(m.group(3)))
-    n = int(m.group(2))
-    rank = n + 1 if family == "Atilde" else n
+        if len(digits) > len(str(MAX_NAMED_LABEL)) or int(digits) > MAX_NAMED_LABEL:
+            raise ValueError(f"I2(m) needs m <= {MAX_NAMED_LABEL}")
+        return catalog_matrix("I2", int(digits))
+    affine = family == "Atilde"  # Atilde<n> has rank n + 1
+    if len(digits) > len(str(MAX_NAMED_RANK)):
+        rank = f"{digits} + 1" if affine else digits
+        raise ValueError(f"{name.strip()} has rank {rank}, over the limit of {MAX_NAMED_RANK}")
+    n = int(digits)
+    rank = n + 1 if affine else n
     if rank > MAX_NAMED_RANK:
         raise ValueError(f"{name.strip()} has rank {rank}, over the limit of {MAX_NAMED_RANK}")
-    if family == "Atilde":
+    if affine:
         if n < 1:
             raise ValueError("Atilde<n> needs n >= 1")
         if n == 1:

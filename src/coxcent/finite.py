@@ -102,10 +102,6 @@ class ElementSet:
         view.group, view.indices = group, indices
         return view
 
-    @property
-    def elements(self) -> tuple[GroupElement, ...]:
-        return tuple(self)
-
     def __len__(self):
         return len(self.indices)
 
@@ -198,9 +194,6 @@ class FiniteGroup:
         for s in word:
             start = steps[start][s]
         return start
-
-    def inverse_index(self, i: int) -> int:
-        return self._inverses()[i]
 
     def _inverses(self) -> list[int]:
         """inv[x], the index of x^-1, in one pass along the parents, with no walk.

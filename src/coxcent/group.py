@@ -9,18 +9,18 @@ simple-root basis; every root hit by group elements from the basis is
 entirely nonnegative or entirely nonpositive.
 
 Flat layout.  Every Cartan entry and rho are algebraic integers, so every
-coordinate of an orbit vector or of a root column has plain-int coefficients
-in the power basis 1, theta, ..., theta^(d-1).  Inside this module such a
-vector is one flat sequence of n*d ints, coordinate t at v[t*d:(t+1)*d]; at
-d = 1 that is just the int coordinates.  A reflection is one pass over a
-precomputed integer table of the context, with no scalar object built.  The
-public edge (Root, action_coeff, act, column, reflect, inversion_set) hands
-out AlgebraicScalar coordinates at d >= 2 and plain ints at d = 1.  Every
-sign of a flat coordinate, Root.is_positive's included, is read through
-CoxeterContext._coord_sign, which at d >= 2 hands the coordinate's int slice
-to FieldContext.sign, the one exact sign path; the tables come from
-FieldContext.multiples.  AlgebraicScalar is named only at the public edge
-(_flat, _root).
+coordinate of an orbit vector or of a root has plain-int coefficients in the
+power basis 1, theta, ..., theta^(d-1).  Such a vector is one flat sequence
+of n*d ints, coordinate t at v[t*d:(t+1)*d]; at d = 1 that is just the int
+coordinates.  This is the one representation of roots, public ones included:
+simple_root, reflect, act, column and inversion_set take and return these
+tuples, in the layout of orbit_key().  A reflection is one pass over a
+precomputed integer table of the context, with no scalar object built.
+Every sign of a flat coordinate is read through CoxeterContext._coord_sign,
+which at d >= 2 hands the coordinate's int slice to FieldContext.sign, the
+one exact sign path; the tables come from FieldContext.multiples.  Only
+action_coeff holds field scalars, as the public statement of the Cartan
+matrix.
 
 A group element is its ShortLex reduced word plus, once asked for, the vector
 w^-1(rho) in weight coordinates, where rho = (1, ..., 1).  Coordinate t of
@@ -48,9 +48,9 @@ pure functions of their inputs, safe to share between threads.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-from .scalar import AlgebraicScalar, FieldContext
+from .scalar import FieldContext
 
 INFINITE_BOND = 0  # external encoding of m_st = infinity
 
@@ -62,10 +62,6 @@ def _bond_order(m: int) -> int:
     """The k whose 2cos(pi/k) label m needs: 4cos^2(pi/m) is 2cos(pi/m)^2 for odd m,
     and 2 + 2cos(pi/k) with k = m/2 for even m."""
     return m if m % 2 else m // 2
-
-
-class MixedSignRootError(ArithmeticError):
-    """A vector that should be a root had both positive and negative coordinates."""
 
 
 def validate_coxeter_matrix(matrix) -> tuple[tuple[int, ...], ...]:
@@ -107,51 +103,6 @@ def word_to_string(word) -> str:
     return " ".join(str(s + 1) for s in word)
 
 
-class Root:
-    """A coordinate vector over the simple-root basis."""
-
-    __slots__ = ("context", "coords")
-
-    def __init__(self, context: "CoxeterContext", coords: tuple):
-        self.context = context
-        self.coords = coords
-
-    def is_positive(self) -> bool:
-        """True for a positive root, False for a negative one.
-
-        Raises MixedSignRootError if the coordinates mix signs (or all vanish),
-        which signals an arithmetic bug rather than a property of the input.
-        """
-        ctx = self.context
-        v = ctx._flat(self.coords)
-        den = lcm(*[c.denominator for c in v])  # a positive scale: same signs, int coefficients
-        v = [c.numerator * (den // c.denominator) for c in v]
-        pos = neg = False
-        for t in range(len(self.coords)):
-            s = ctx._coord_sign(v, t)
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-        if pos == neg:  # both present, or no nonzero coordinate at all
-            raise MixedSignRootError(f"not a root: {self.coords}")
-        return pos
-
-    def __neg__(self):
-        return Root(self.context, tuple(-c for c in self.coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, Root):
-            return NotImplemented
-        return self.context is other.context and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"Root({', '.join(map(repr, self.coords))})"
-
-
 class CoxeterContext:
     """A Coxeter system: matrix, scalar field, and the Cartan matrix that realizes it.
 
@@ -169,9 +120,9 @@ class CoxeterContext:
     2 + 2cos(2pi/m) for s < t and 1 for s > t.  The field is Q(2cos(pi/N)), N
     the lcm over those other labels of m (odd) or m/2 (even), and N = 1 when
     there are none.  At field degree 1 every entry is a plain int; at degree
-    2 and up action_coeff and Root coordinates are AlgebraicScalar values.
+    2 and up the entries of action_coeff are the field's scalars.
 
-    Inside the module every vector is flat (see the module docstring), and
+    Every vector, root or weight, is flat (see the module docstring), and
     each generator s has two integer tables, built here from the d x d
     matrices M_st of multiplication by a_st, column j holding a_st*theta^j.
     _weight_table[s] adds a_st*v_s into each neighbour coordinate t: one entry
@@ -351,7 +302,7 @@ class CoxeterContext:
     def _normal_form(self, word) -> "GroupElement":
         return self._peel(self._orbit(word))
 
-    # --- roots: flat inside, Root with scalar coordinates at the edge ---
+    # --- roots: flat int tuples, coordinate t at g[t*d:(t+1)*d] ---
 
     def _act(self, word, g) -> list:
         """w(gamma), flat, for gamma flat and w the product of the word."""
@@ -359,26 +310,13 @@ class CoxeterContext:
         self._walk(g, reversed(word), self._root_table)
         return g
 
-    def _flat(self, coords) -> list:
-        """Root coordinates, numbers or scalars of this field, as one flat list."""
-        out = []
-        for c in coords:
-            if not isinstance(c, AlgebraicScalar):
-                c = self.field.rational(c)
-            elif c.field is not self.field:
-                raise ValueError("scalars from different field contexts")
-            out.extend(c.coeffs)
-        return out
-
-    def _root(self, g) -> Root:
-        """The Root of a flat vector, with AlgebraicScalar coordinates at d >= 2."""
-        d = self._degree
-        if d == 1:
-            return Root(self, tuple(g))
-        field = self.field
-        return Root(self, tuple(
-            AlgebraicScalar(field, tuple(g[b : b + d])) for b in range(0, len(g), d)
-        ))
+    def _checked_root(self, g) -> tuple:
+        """A root handed in at the public edge: a tuple of rank*d ints, so no
+        float or other number ever enters the exact walk."""
+        size = self.rank * self._degree
+        if not (isinstance(g, tuple) and len(g) == size and all(type(c) is int for c in g)):
+            raise ValueError(f"a root is a tuple of {size} ints, got {g!r}")
+        return g
 
     # --- public construction ---
 
@@ -388,8 +326,8 @@ class CoxeterContext:
     def generator(self, s: int) -> "GroupElement":
         return self.element((s,))
 
-    def simple_root(self, s: int) -> Root:
-        return self._root(self._simple_roots[s])
+    def simple_root(self, s: int) -> tuple:
+        return self._simple_roots[s]
 
     def element(self, word) -> "GroupElement":
         """ShortLex normal form of an arbitrary generator sequence."""
@@ -473,11 +411,9 @@ class CoxeterContext:
                 return self._peel(v)
             self._reflect_weights(v, (s,))
 
-    def reflect(self, s: int, root: Root) -> Root:
+    def reflect(self, s: int, root: tuple) -> tuple:
         """Apply the simple reflection s to a root (involutive)."""
-        if root.context is not self:
-            raise ValueError("root from a different context")
-        return self._root(self._act((s,), self._flat(root.coords)))
+        return tuple(self._act((s,), self._checked_root(root)))
 
     def __repr__(self):
         return f"CoxeterContext(rank {self.rank}, field {self.field!r})"
@@ -506,14 +442,10 @@ class GroupElement:
     def is_identity(self) -> bool:
         return not self.word
 
-    @property
-    def matrix(self):
-        """Row-major matrix of the action; column t is w * alpha_t."""
-        return tuple(zip(*(self.column(t).coords for t in range(self.context.rank))))
-
-    def column(self, t: int) -> Root:
+    def column(self, t: int) -> tuple:
+        """w(alpha_t), column t of the action matrix."""
         ctx = self.context
-        return ctx._root(ctx._act(self.word, ctx._simple_roots[t]))
+        return tuple(ctx._act(self.word, ctx._simple_roots[t]))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         ctx = self.context
@@ -533,12 +465,10 @@ class GroupElement:
             v = self._inv_rho = self.context.orbit_key(self.word)
         return v
 
-    def act(self, root: Root) -> Root:
+    def act(self, root: tuple) -> tuple:
         """Image of a root under this element's action on the representation space."""
         ctx = self.context
-        if not isinstance(root, Root) or root.context is not ctx:
-            raise ValueError("root from a different context")
-        return ctx._root(ctx._act(self.word, ctx._flat(root.coords)))
+        return tuple(ctx._act(self.word, ctx._checked_root(root)))
 
     def right_descents(self) -> frozenset[int]:
         """Generators s with length(w s) < length(w), i.e. w * alpha_s negative."""
@@ -548,7 +478,7 @@ class GroupElement:
         ctx = self.context
         return ctx._negative_coords(ctx._orbit(self.word))
 
-    def inversion_set(self) -> frozenset[Root]:
+    def inversion_set(self) -> frozenset[tuple]:
         """The positive roots this element sends negative; size equals the length.
 
         Read off the reduced word s_1 ... s_k: the inversions are
@@ -557,7 +487,7 @@ class GroupElement:
         ctx = self.context
         word = self.word
         roots = frozenset(
-            ctx._root(ctx._act(word[j + 1 :][::-1], ctx._simple_roots[s]))
+            tuple(ctx._act(word[j + 1 :][::-1], ctx._simple_roots[s]))
             for j, s in enumerate(word)
         )
         if len(roots) != len(word):

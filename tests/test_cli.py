@@ -197,6 +197,29 @@ def test_type_with_rank_over_limit_is_usage_error():
     assert "rank 10000000000" in proc.stderr
 
 
+@pytest.mark.parametrize("name,shown", [
+    ("A" + "9" * 5000, "over the limit of 2000"),
+    ("Atilde" + "9" * 5000, "over the limit of 2000"),
+    ("I2(" + "7" * 5000 + ")", "m <= 4294967296"),
+    ("I2(4294967297)", "m <= 4294967296"),
+], ids=["A-5000-digits", "Atilde-5000-digits", "I2-5000-digits", "I2-over-label-limit"])
+def test_type_with_thousands_of_digits_is_usage_error(name, shown):
+    # the catalog counts a name's digits before int(), which Python refuses
+    # past 4,300 digits with a message about its own setting
+    proc = run("reduce", "--type", name, "--word", "1 2 1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert shown in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
+def test_type_with_thousands_of_leading_zeros_is_read():
+    doc, proc = run_json("reduce", "--type", "A" + "0" * 5000 + "3", "--word", "1 2 1")
+    assert proc.returncode == 0
+    expected, _ = run_json("reduce", "--type", "A3", "--word", "1 2 1")
+    assert {**doc, "system": "A3"} == expected
+
+
 def test_matrix_file_with_field_degree_over_limit(tmp_path):
     # lcm(7, 11, 13) = 1001: the field would have degree 360
     path = tmp_path / "deg360.json"

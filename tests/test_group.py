@@ -6,14 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from coxcent import (
-    AlgebraicScalar,
-    CoxeterContext,
-    MixedSignRootError,
-    Root,
-    word_from_string,
-    word_to_string,
-)
+from coxcent import AlgebraicScalar, CoxeterContext, word_from_string, word_to_string
+from roots import neg, root_sign
 
 
 def el(ctx, text):
@@ -31,7 +25,7 @@ def action_matrix_oracle(ctx, word):
         root = ctx.simple_root(t)
         for s in reversed(word):
             root = ctx.reflect(s, root)
-        images.append(root.coords)
+        images.append(root)
     return tuple(images)
 
 
@@ -47,13 +41,28 @@ def shortlex_oracle(ctx, word):
 
 def test_simple_reflection_action_a2(context_of):
     ctx = context_of("A2")
-    one = ctx.field.one
-    zero = ctx.field.zero
     a1, a2 = ctx.simple_root(0), ctx.simple_root(1)
-    assert ctx.reflect(0, a1) == -a1
+    assert ctx.reflect(0, a1) == neg(a1)
     # coefficient 2cos(pi/3) = 1, so s1 sends alpha_2 to alpha_1 + alpha_2
-    assert ctx.reflect(0, a2).coords == (one, one)
-    assert ctx.reflect(1, Root(ctx, (one, one))).coords == (one, zero)
+    assert ctx.reflect(0, a2) == (1, 1)
+    assert ctx.reflect(1, (1, 1)) == (1, 0)
+
+
+def test_act_and_reflect_take_flat_int_tuples(context_of):
+    # a root is a tuple of rank*d ints; anything else is refused before the walk
+    for name, bad in (("A2", ((1,), (1, 0, 0), [1, 0], (1.0, 0), (Fraction(1), 0), (True, 0))),
+                      ("H3", ((1, 0, 0), (1,) * 5, (1, 0, 0, 0, 0, 0.5)))):
+        ctx = context_of(name)
+        w = ctx.element((0, 1))
+        for root in bad:
+            with pytest.raises(ValueError, match="tuple of"):
+                ctx.reflect(0, root)
+            with pytest.raises(ValueError, match="tuple of"):
+                w.act(root)
+    h3 = context_of("H3")
+    with pytest.raises(ValueError):
+        h3.reflect(0, (h3.field.one, h3.field.zero, h3.field.zero))
+    assert h3.reflect(0, h3.simple_root(0)) == neg(h3.simple_root(0))
 
 
 def test_reflection_involutive_random(context_of):
@@ -76,11 +85,10 @@ def test_positive_root_orbit_a2(context_of):
         root = frontier.pop()
         for s in range(2):
             image = ctx.reflect(s, root)
-            if image.is_positive() and image not in seen:
+            if root_sign(ctx, image) > 0 and image not in seen:
                 seen.add(image)
                 frontier.append(image)
-    one = ctx.field.one
-    assert seen == {ctx.simple_root(0), ctx.simple_root(1), Root(ctx, (one, one))}
+    assert seen == {ctx.simple_root(0), ctx.simple_root(1), (1, 1)}
 
 
 def test_act_examples(context_of):
@@ -88,7 +96,7 @@ def test_act_examples(context_of):
     gamma = ctx.simple_root(1)
     assert ctx.identity().act(gamma) == gamma
     w = el(ctx, "1 2 1")
-    assert w.act(ctx.simple_root(0)) == -ctx.simple_root(1)
+    assert w.act(ctx.simple_root(0)) == neg(ctx.simple_root(1))
     rng = random.Random(5)
     ctx3 = context_of("B3")
     for _ in range(25):
@@ -102,14 +110,13 @@ def test_act_examples(context_of):
 def test_is_positive_and_mixed_signs(context_of):
     ctx = context_of("A2")
     a1 = ctx.simple_root(0)
-    assert a1.is_positive()
-    assert not (-a1).is_positive()
-    one = ctx.field.one
-    assert Root(ctx, (one, one)).is_positive()
-    with pytest.raises(MixedSignRootError):
-        Root(ctx, (one, -one)).is_positive()
-    with pytest.raises(MixedSignRootError):
-        Root(ctx, (ctx.field.zero, ctx.field.zero)).is_positive()
+    assert root_sign(ctx, a1) == 1
+    assert root_sign(ctx, neg(a1)) == -1
+    assert root_sign(ctx, (1, 1)) == 1
+    with pytest.raises(ArithmeticError):
+        root_sign(ctx, (1, -1))
+    with pytest.raises(ArithmeticError):
+        root_sign(ctx, (0, 0))
 
 
 def test_is_positive_reads_exact_signs_of_fraction_coordinates():
@@ -123,7 +130,8 @@ def test_is_positive_reads_exact_signs_of_fraction_coordinates():
         fib.append(fib[-1] + fib[-2])
     for n in (30, 31):
         x = (theta * fib[n] - fib[n + 1]) * Fraction(1, 3)
-        assert Root(ctx, (x, 2 * x, x)).is_positive() == (n % 2 == 1)
+        expected = 1 if n % 2 == 1 else -1
+        assert [c.sign() for c in (x, 2 * x, x)] == [expected] * 3
 
 
 def test_generator_checks_its_index(context_of):
@@ -235,11 +243,8 @@ def test_multiply_associative_mixed_paths(context_of):
 
 def test_inversion_sets(context_of):
     ctx = context_of("A2")
-    one = ctx.field.one
     assert el(ctx, "1").inversion_set() == {ctx.simple_root(0)}
-    assert el(ctx, "1 2 1").inversion_set() == {
-        ctx.simple_root(0), ctx.simple_root(1), Root(ctx, (one, one))
-    }
+    assert el(ctx, "1 2 1").inversion_set() == {ctx.simple_root(0), ctx.simple_root(1), (1, 1)}
 
 
 def test_inversion_set_size_is_length_b3(context_of):
@@ -250,8 +255,8 @@ def test_inversion_set_size_is_length_b3(context_of):
         inv = w.inversion_set()
         assert len(inv) == w.length
         for root in inv:
-            assert root.is_positive()
-            assert not w.act(root).is_positive()
+            assert root_sign(ctx, root) == 1
+            assert root_sign(ctx, w.act(root)) == -1
 
 
 def test_length_parity(context_of):
@@ -268,19 +273,19 @@ def test_length_parity(context_of):
 def test_matrix_property_and_columns(context_of):
     ctx = context_of("A2")
     w = el(ctx, "1")
-    rows = w.matrix
     # column t is w * alpha_t
-    assert rows[0][0] == -1 and rows[1][0] == 0
-    assert w.column(1).coords == (ctx.field.one, ctx.field.one)
+    assert w.column(0) == (-1, 0)
+    assert w.column(1) == (1, 1)
 
 
 def test_equal_words_iff_equal_matrices(context_of):
     rng = random.Random(61)
     ctx = context_of("B3")
     pool = [ctx.element([rng.randrange(3) for _ in range(rng.randrange(8))]) for _ in range(30)]
+    columns = {w: tuple(w.column(t) for t in range(ctx.rank)) for w in pool}
     for a in pool:
         for b in pool:
-            assert (a.word == b.word) == (a.matrix == b.matrix)
+            assert (a.word == b.word) == (columns[a] == columns[b])
             assert (a == b) == (a.word == b.word)
 
 
@@ -302,6 +307,7 @@ class ScalarWalk:
         self.ctx = ctx
         self.n = ctx.rank
         self.one = 1 if ctx.field.degree == 1 else ctx.field.one
+        self.zero = 0 if ctx.field.degree == 1 else ctx.field.zero
 
     def orbit(self, word):
         """w(rho) for w the product of the word."""
@@ -377,6 +383,7 @@ def test_flat_vectors_match_scalar_walk(system):
         assert w.right_descents() == {t for t in range(ctx.rank)
                                       if oracle.sign(inverse_orbit[t]) < 0}
         for t in range(ctx.rank):
-            alpha = ctx.simple_root(t).coords
-            assert w.column(t).coords == oracle.act(w.word, alpha)
-            assert ctx.reflect(t, w.column(t)).coords == oracle.act((t,) + w.word, alpha)
+            alpha = tuple(oracle.one if u == t else oracle.zero for u in range(ctx.rank))
+            assert ctx.simple_root(t) == oracle.flat(alpha)
+            assert w.column(t) == oracle.flat(oracle.act(w.word, alpha))
+            assert ctx.reflect(t, w.column(t)) == oracle.flat(oracle.act((t,) + w.word, alpha))

@@ -17,6 +17,7 @@ import random
 from math import lcm
 
 import pytest
+from roots import neg
 from test_group import action_matrix_oracle
 
 from coxcent import (
@@ -101,7 +102,7 @@ def test_exact_decisions_match_normal_forms(system):
             assert ctx.represents(a, ctx.element(b)) == (w == ctx.element(b))
         descents, negated = ctx.descent_sets(a)
         assert descents == w.right_descents()
-        minus = {s for s in descents if w.act(ctx.simple_root(s)) == -ctx.simple_root(s)}
+        minus = {s for s in descents if w.act(ctx.simple_root(s)) == neg(ctx.simple_root(s))}
         assert negated == negated_simples(w) == minus
 
     subsets = [frozenset(s for s in range(n) if mask >> s & 1) for mask in range(1 << n)]
