@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .catalog import matrix_for_name
+from .catalog import MAX_NAMED_LABEL, matrix_for_name
 from .finite import (
     DEFAULT_ENUMERATION_CAP,
     SUITES,
@@ -67,6 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_int(text: str) -> int:
+    """An integer of the matrix file.  No rank or label past the catalog's label
+    limit is usable, and a number with more digits than that limit is refused
+    before int(), which refuses 4,300 digits with a message about a Python setting."""
+    digits = len(text.lstrip("-"))
+    if digits > len(str(MAX_NAMED_LABEL)):
+        raise ValueError(f"a number with {digits} digits is over the limit of {MAX_NAMED_LABEL}")
+    return int(text)
+
+
 def _load_system(args, parser) -> tuple[CoxeterContext, str | dict]:
     if args.type_name is not None:
         try:
@@ -75,7 +85,7 @@ def _load_system(args, parser) -> tuple[CoxeterContext, str | dict]:
             parser.error(str(exc))
     try:
         with open(args.matrix_file, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
         rank, m = doc["rank"], doc["m"]
         if not isinstance(rank, int) or isinstance(rank, bool):
             raise ValueError(f"rank must be an integer, got {rank!r}")

@@ -12,10 +12,10 @@ Flat layout.  Every Cartan entry and rho are algebraic integers, so every
 coordinate of an orbit vector or of a root has plain-int coefficients in the
 power basis 1, theta, ..., theta^(d-1).  Such a vector is one flat sequence
 of n*d ints, coordinate t at v[t*d:(t+1)*d]; at d = 1 that is just the int
-coordinates.  This is the one representation of roots, public ones included:
-simple_root, reflect, act, column and inversion_set take and return these
-tuples, in the layout of orbit_key().  A reflection is one pass over a
-precomputed integer table of the context, with no scalar object built.
+coordinates.  This is the one representation of roots, walked only by the
+public root API: simple_root, reflect, act, column and inversion_set take and
+return these tuples, in the layout of orbit_key().  A reflection is one pass
+over a precomputed integer table of the context, with no scalar object built.
 Every sign of a flat coordinate is read through CoxeterContext._coord_sign,
 which at d >= 2 hands the coordinate's int slice to FieldContext.sign, the
 one exact sign path; the tables come from FieldContext.multiples.  Only
@@ -37,9 +37,9 @@ evaluates the coordinates that step changed.
 
 Group identities need no normal form.  rho lies in the open fundamental
 chamber, so x = y iff x^-1(rho) = y^-1(rho), compared coefficient by
-coefficient; CoxeterContext.represents and the descent helpers
-(screened_descents, least_unnegated_descent, descent_sets) work on arbitrary,
-unreduced words this way.
+coefficient.  CoxeterContext.represents and screened_descents work on
+arbitrary, unreduced words this way, and so does involution.py's test
+x(alpha_s) = -alpha_s, as s x s = x.
 
 Elements are immutable values apart from the cached vector, which is filled
 in at most once with a value that depends only on the word; operations are
@@ -327,16 +327,21 @@ class CoxeterContext:
         return self.element((s,))
 
     def simple_root(self, s: int) -> tuple:
-        return self._simple_roots[s]
+        return self._simple_roots[self._checked_generator(s)]
 
     def element(self, word) -> "GroupElement":
         """ShortLex normal form of an arbitrary generator sequence."""
         word = tuple(word)
-        n = self.rank
         for s in word:
-            if not 0 <= s < n:
-                raise ValueError(f"generator index {s} out of range 0..{n - 1}")
+            self._checked_generator(s)
         return self._normal_form(word)
+
+    def _checked_generator(self, s: int) -> int:
+        """A generator index handed in at the public edge, which must lie in
+        0..rank-1: a negative one would otherwise wrap around the tables."""
+        if not 0 <= s < self.rank:
+            raise ValueError(f"generator index {s} out of range 0..{self.rank - 1}")
+        return s
 
     def represents(self, word, element: "GroupElement") -> bool:
         """Whether the product of an arbitrary word is `element`, decided with no sign read.
@@ -361,38 +366,10 @@ class CoxeterContext:
 
         Coordinate s of x^-1(rho) is the height of x(alpha_s), so s can be a
         negated simple (x(alpha_s) = -alpha_s) only if it is -1: the screen is
-        necessary for D = N, with no column read.
+        necessary for D = N, with no further walk.
         """
         descents = self._negative_coords(orbit)
         return descents, all(self._is_minus_one(orbit, s) for s in descents)
-
-    def _negates(self, word, orbit, s: int) -> bool:
-        """Whether x(alpha_s) = -alpha_s; the column is walked only past the height screen."""
-        if not self._is_minus_one(orbit, s):
-            return False
-        alpha = self._simple_roots[s]
-        return self._act(word, alpha) == [-c for c in alpha]
-
-    def least_unnegated_descent(self, word, orbit, descents) -> int | None:
-        """min(D \\ N) for x the product of the word, or None when D = N.
-
-        Goes through D in ascending order and stops at the first s with
-        x(alpha_s) != -alpha_s, so a column is computed only for the members
-        of N before it, and for s itself when its coordinate is -1.
-        """
-        return next((s for s in sorted(descents) if not self._negates(word, orbit, s)), None)
-
-    def descent_sets(self, word, orbit=None) -> tuple[frozenset[int], frozenset[int]]:
-        """(D, N) for x the product of an arbitrary word, which is never normalised.
-
-        D is the right descent set of x; N holds the s in D with
-        x(alpha_s) = -alpha_s exactly, each column computed only past the
-        height screen of screened_descents.  Pass `orbit` = x^-1(rho) when it
-        is already known (GroupElement.orbit_key()).
-        """
-        v = self.orbit_key(word) if orbit is None else orbit
-        descents = self._negative_coords(v)
-        return descents, frozenset(s for s in descents if self._negates(word, v, s))
 
     def greedy_longest(self, subset) -> "GroupElement":
         """Longest element of the standard parabolic on `subset`, which must be finite.
@@ -413,7 +390,7 @@ class CoxeterContext:
 
     def reflect(self, s: int, root: tuple) -> tuple:
         """Apply the simple reflection s to a root (involutive)."""
-        return tuple(self._act((s,), self._checked_root(root)))
+        return tuple(self._act((self._checked_generator(s),), self._checked_root(root)))
 
     def __repr__(self):
         return f"CoxeterContext(rank {self.rank}, field {self.field!r})"
@@ -445,7 +422,7 @@ class GroupElement:
     def column(self, t: int) -> tuple:
         """w(alpha_t), column t of the action matrix."""
         ctx = self.context
-        return tuple(ctx._act(self.word, ctx._simple_roots[t]))
+        return tuple(ctx._act(self.word, ctx.simple_root(t)))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         ctx = self.context

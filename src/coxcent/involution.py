@@ -10,14 +10,12 @@ s in D(w) \\ N(w) shortens w by exactly 2, so iterating produces a certificate
 always the least available index, which makes runs reproducible; no canonicity
 of the resulting subset I is claimed.
 
-Every group identity here (w^2 = 1, u w u^-1 = rho_I) is decided by exact
-equality of orbit vectors x^-1(rho) (CoxeterContext.represents), and the
-descent runs on the unreduced word s_k..s_1 w s_1..s_k: no intermediate
-conjugate is ever normalised, only the conjugator handed back.  Each step
-walks that word once, for the orbit vector of the conjugate x.  The descent
-stops when that vector is the one of rho_D, D = D(x) of (-1)-type, which
-holds exactly when D(x) = N(x); otherwise a root column x(alpha_s) is walked
-only while choosing the step, for the members of D below it.
+Every group identity here (w^2 = 1, u w u^-1 = rho_I, s x s = x) is decided
+by exact equality of orbit vectors x^-1(rho), and the descent runs on the
+unreduced word s_k..s_1 w s_1..s_k: no conjugate is normalised, only the
+conjugator handed back, and no root is walked.  For s in D(x), x s x^-1 is
+the reflection in x(alpha_s) (Humphreys 1990, Reflection Groups and Coxeter
+Groups, 5.7), so s is in N(x) exactly when s x s = x.
 
 The certificate is what reduces a centralizer Z_W(w) to a conjugated parabolic
 normalizer: Z_W(w) = u^-1 N_W(W_I) u (verified on finite groups in .finite).
@@ -37,8 +35,8 @@ def is_involution(w: GroupElement) -> bool:
 
 
 def negated_simples(w: GroupElement) -> frozenset[int]:
-    """Generators whose simple root is sent to its exact negative by w."""
-    return w.context.descent_sets(w.word, w.orbit_key())[1]
+    """Generators s with w(alpha_s) = -alpha_s: the right descents with s w s = w."""
+    return frozenset(s for s in w.right_descents() if w.context.represents((s,) + w.word + (s,), w))
 
 
 def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
@@ -125,18 +123,16 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
     steps is therefore at most length(w)/2.  Rejects non-involutions, and
     accepts the identity (empty subset, trivial conjugator).
 
-    The running conjugate x is kept as the unreduced word s_k..s_1 w s_1..s_k,
-    walked once per step for v = x^-1(rho); D is read from the signs of v.
+    The running conjugate x is kept as the unreduced word s_k..s_1 w s_1..s_k
+    and its orbit vector v = x^-1(rho); D is read from the signs of v.
     Stop test: every s in D has v_s = -1, D is of (-1)-type and v is the
     orbit vector of rho_D.  It holds exactly when D = N.  If D = N, then
     x = rho_D with D of (-1)-type, so each v_s, the height of
     x(alpha_s) = -alpha_s, is -1, and v = rho_D^-1(rho).  Conversely, v equal
     to that vector means x = rho_D (rho has a trivial stabiliser), which
-    negates every simple root of D, so D <= N <= D.  Step choice: the members
-    of D are taken in ascending order, and the first s with v_s != -1 or
-    x(alpha_s) != -alpha_s is the least s in D outside N, i.e. min(D \\ N);
-    a column is walked only for the members of N below it (and for s when
-    v_s = -1).
+    negates every simple root of D, so D <= N <= D.  Step choice: for s in D
+    ascending, s x s = x exactly when s is in N, so the first s whose walk of
+    s x s differs from v is min(D \\ N), and that walk is the next v.
 
     The stop test also decides w^2 = 1, with no walk of its own: x = rho_D is
     an involution and w = c x c^-1 for c = s_1..s_k, so w is one too.  An
@@ -159,12 +155,14 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
                 break
         if len(steps) >= w.length // 2:
             _reject(w, "descent did not reach a parabolic longest element within length/2 steps")
-        s = ctx.least_unnegated_descent(word, orbit, descents)
-        if s is None:
+        for s in sorted(descents):
+            key = ctx.orbit_key((s,) + word + (s,))
+            if key != orbit:
+                break
+        else:
             _reject(w, "descents all negated, yet the conjugate is not their longest element")
         steps.append(s)
-        word = (s,) + word + (s,)
-        orbit = ctx.orbit_key(word)
+        word, orbit = (s,) + word + (s,), key
     if rho.length != w.length - 2 * len(steps):
         raise AssertionError("descent did not reach the parabolic longest element by 2 per step")
     return InvolutionCertificate(

@@ -213,6 +213,22 @@ def test_type_with_thousands_of_digits_is_usage_error(name, shown):
     assert "set_int_max_str_digits" not in proc.stderr
 
 
+@pytest.mark.parametrize("text", [
+    '{"rank": 2, "m": [[1, %s], [%s, 1]]}' % ("7" * 5000, "7" * 5000),
+    '{"rank": %s, "m": [[1]]}' % ("9" * 5000),
+], ids=["label-5000-digits", "rank-5000-digits"])
+def test_matrix_file_with_thousands_of_digits_is_usage_error(tmp_path, text):
+    # the reader counts a number's digits before int(), which Python refuses
+    # past 4,300 digits with a message about its own setting
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    proc = run("reduce", "--matrix", str(path), "--word", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "5000 digits" in proc.stderr and "over the limit of 4294967296" in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
 def test_type_with_thousands_of_leading_zeros_is_read():
     doc, proc = run_json("reduce", "--type", "A" + "0" * 5000 + "3", "--word", "1 2 1")
     assert proc.returncode == 0

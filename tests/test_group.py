@@ -145,6 +145,21 @@ def test_generator_checks_its_index(context_of):
         assert str(from_generator.value) == str(from_element.value)
 
 
+@pytest.mark.parametrize("name", ["A3", "H3"])
+def test_root_api_checks_generator_index(context_of, name):
+    # a negative index would wrap around to the last generator
+    ctx = context_of(name)
+    root, w = ctx.simple_root(1), ctx.element((0, 1))
+    for s in (-1, ctx.rank):
+        with pytest.raises(ValueError) as from_element:
+            ctx.element((s,))
+        for call in (lambda: ctx.simple_root(s), lambda: ctx.reflect(s, root),
+                     lambda: w.column(s)):
+            with pytest.raises(ValueError, match="out of range") as caught:
+                call()
+            assert str(caught.value) == str(from_element.value)
+
+
 def test_descents(context_of):
     ctx = context_of("A2")
     assert ctx.identity().right_descents() == frozenset()

@@ -272,11 +272,19 @@ def test_descent_steps_shorten_by_two(group_of, context_of):
 
 
 def reference_certificate(w):
-    """The descent by its defining rule: both sets of every conjugate, then min(D \\ N)."""
+    """The descent by its defining rule: both sets of every conjugate, then min(D \\ N).
+
+    D and N are read off the root action, s in D when x(alpha_s) is negative
+    and in N when it is -alpha_s, so the reference shares nothing with the
+    orbit-vector test s x s = x that the library decides N by.
+    """
     ctx = w.context
     steps, word = [], w.word
     while True:
-        descents, negated = ctx.descent_sets(word)
+        x = ctx.element(word)
+        images = [x.act(ctx.simple_root(s)) for s in range(ctx.rank)]
+        descents = frozenset(s for s, g in enumerate(images) if root_sign(ctx, g) < 0)
+        negated = frozenset(s for s, g in enumerate(images) if g == neg(ctx.simple_root(s)))
         if descents == negated:
             break
         s = min(descents - negated)
@@ -312,6 +320,42 @@ def test_descent_matches_reference_on_random_conjugates(system, lengths, count):
 def test_descent_matches_reference_on_every_involution(group_of, system):
     for w in involutions(group_of(system)):
         cert = involution_certificate(w)
+        assert (cert.subset, cert.steps, cert.conjugator.word) == reference_certificate(w), w
+
+
+@pytest.mark.parametrize("system", ["E8", "H4", "Atilde4", "inf4", "deg12"])
+def test_certificate_path_walks_no_root(monkeypatch, system):
+    # N is decided by s x s = x on orbit vectors, so with the root walk
+    # broken every decision of the certificate path still succeeds on a cold
+    # context; the answers are then checked against the root action
+    def no_root_walk(*args):
+        raise AssertionError("a root was walked")
+
+    rng = random.Random(f"no-roots-{system}")
+    ctx = fresh_context(system)
+    subsets = [frozenset(s for s in range(ctx.rank) if mask >> s & 1)
+               for mask in range(1 << ctx.rank)]
+    with monkeypatch.context() as patch:
+        patch.setattr(CoxeterContext, "_act", no_root_walk)
+        types = {J: is_minus_one_type(ctx, J) for J in subsets}
+        rhos = [longest_element(ctx, J) for J in subsets if types[J]]
+        for rho in rhos:
+            assert negated_simples(rho) == rho.right_descents()
+        certified = []
+        for i in range(10):
+            x = [rng.randrange(ctx.rank) for _ in range(6)]
+            w = ctx.element(x + list(rhos[i % len(rhos)].word) + x[::-1])
+            cert = involution_certificate(w)
+            assert cert.verify(w)
+            certified.append((w, cert))
+    for J, minus_one in types.items():
+        if is_finite_parabolic(ctx, J):
+            rho = longest_element(ctx, J)
+            negates = all(rho.act(ctx.simple_root(s)) == neg(ctx.simple_root(s)) for s in J)
+            assert minus_one == negates, J
+        else:
+            assert not minus_one, J
+    for w, cert in certified:
         assert (cert.subset, cert.steps, cert.conjugator.word) == reference_certificate(w), w
 
 
