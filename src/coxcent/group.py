@@ -48,6 +48,7 @@ pure functions of their inputs, safe to share between threads.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from .scalar import FieldContext
@@ -93,7 +94,7 @@ def word_from_string(text: str) -> tuple[int, ...]:
     """Parse whitespace-separated 1-based generator indices to a 0-based word."""
     out = []
     for token in text.split():
-        if not token.isdigit() or int(token) < 1:
+        if not (token.isascii() and token.isdigit()) or int(token) < 1:
             raise ValueError(f"bad generator index {token!r}")
         out.append(int(token) - 1)
     return tuple(out)
@@ -123,23 +124,23 @@ class CoxeterContext:
     2 and up the entries of action_coeff are the field's scalars.
 
     Every vector, root or weight, is flat (see the module docstring), and
-    each generator s has two integer tables, built here from the d x d
-    matrices M_st of multiplication by a_st, column j holding a_st*theta^j.
-    _weight_table[s] adds a_st*v_s into each neighbour coordinate t: one entry
-    (s*d + j, pairs) per source coefficient j that some M_st uses, pairs
-    holding (t*d + k, M_st[k][j]); a source that is zero is skipped at walk
-    time.  At d = 1 it is just the (t, a_st) pairs of the one source v[s].
-    _root_table[s] groups the root reflection the same way: one entry per
-    source t*d + j of a neighbour block, pairs (s*d + k, -M_st[k][j]).  Both
-    walks make the table pass, then negate block s.
+    each generator s has two integer tables of groups (source, pairs), built
+    from the matrices M_st of multiplication by a_st (_columns); _walk adds c
+    times a nonzero source into each target of its pairs (target, c), so the
+    pairs (source, -2) negate.  _weight_table[s] has one group per source
+    s*d + j, pairs (t*d + k, M_st[k][j]) into each neighbour block t and the
+    self-pair; at d = 1 it is the (t, a_st) pairs of v[s], walked by a loop
+    of its own.  _root_table[s] negates block s, then has one group per source
+    t*d + j of a neighbour block, pairs (s*d + k, M_st[k][j]).
 
-    Immutable and shareable apart from two memos keyed by generator subset,
-    which only ever gain entries: _longest_memo (involution.longest_element),
-    holding (word, orbit_key) pairs, and _minus_one_memo
-    (involution.is_minus_one_type); and _order, read from the catalog at most
-    once (`order`).  No attribute holds a GroupElement, which points back at
-    its context, so a context that falls out of use is freed by reference
-    counting, with no wait for the cycle collector.
+    Immutable and shareable apart from state that fills in once or only
+    gains entries: two memos keyed by generator subset, _longest_memo
+    (involution.longest_element), holding (word, orbit_key) pairs, and
+    _minus_one_memo (involution.is_minus_one_type); _order, read from the
+    catalog at most once (`order`); and _root_table, built on the first root
+    walk, as no command walks a root.  No attribute holds a GroupElement,
+    which points back at its context, so a context that falls out of use is
+    freed by reference counting, with no wait for the cycle collector.
     """
 
     def __init__(self, matrix):
@@ -182,22 +183,13 @@ class CoxeterContext:
             self._weight_table = tuple(
                 tuple((t, coeff[s][t]) for t in neighbors[s]) for s in range(n)
             )
-            self._root_table = tuple(
-                tuple((t, ((s, -coeff[s][t]),)) for t in neighbors[s]) for s in range(n)
-            )
         else:
-            columns = {(s, t): list(field.multiples(coeff[s][t].coeffs))
-                       for s in range(n) for t in neighbors[s]}
+            columns = {(s, t): list(self._columns(s, t)) for s in range(n) for t in neighbors[s]}
             self._weight_table = tuple(
-                tuple((s * d + j, pairs) for j in range(d)
-                      if (pairs := tuple((t * d + k, c) for t in neighbors[s]
-                                         for k, c in enumerate(columns[s, t][j]) if c)))
-                for s in range(n)
-            )
-            self._root_table = tuple(
-                tuple((t * d + j, pairs) for t in neighbors[s] for j in range(d)
-                      if (pairs := tuple((s * d + k, -c)
-                                         for k, c in enumerate(columns[s, t][j]) if c)))
+                tuple((s * d + j, ((s * d + j, -2),) + tuple(
+                    (t * d + k, c)
+                    for t in neighbors[s] for k, c in enumerate(columns[s, t][j]) if c
+                )) for j in range(d))
                 for s in range(n)
             )
 
@@ -225,6 +217,20 @@ class CoxeterContext:
 
         return cls(matrix_for_name(name))
 
+    def _columns(self, s: int, t: int):
+        """The columns of M_st: column j is a_st*theta^j, d ints."""
+        a = self.action_coeff[s][t]
+        return self.field.multiples((a,) if self._degree == 1 else a.coeffs)
+
+    @cached_property
+    def _root_table(self) -> tuple:
+        d = self._degree
+        return tuple(tuple((s * d + j, ((s * d + j, -2),)) for j in range(d)) + tuple(
+            (t * d + j, pairs)
+            for t in self.neighbors[s] for j, column in enumerate(self._columns(s, t))
+            if (pairs := tuple((s * d + k, c) for k, c in enumerate(column) if c))
+        ) for s in range(self.rank))
+
     # --- flat vectors: weights, updated in place ---
 
     def _reflect_weights(self, v: list, letters) -> None:
@@ -239,17 +245,15 @@ class CoxeterContext:
         else:
             self._walk(v, letters, table)
 
-    def _walk(self, v: list, letters, table) -> None:
-        """For each letter s: add the groups of table[s] into v, then negate block s."""
-        d = self._degree
+    @staticmethod
+    def _walk(v: list, letters, table) -> None:
+        """For each letter s: add the groups of table[s] into v."""
         for s in letters:
             for src, pairs in table[s]:
                 x = v[src]
                 if x:
                     for tgt, c in pairs:
                         v[tgt] = v[tgt] + c * x
-            for k in range(s * d, s * d + d):
-                v[k] = -v[k]
 
     def _coord_sign(self, v, t: int) -> int:
         """Exact sign of coordinate t of a flat vector."""

@@ -7,11 +7,11 @@ m/2 (m even).  A system with none of them has N = 1 and computes over plain
 ints, with no scalar of this module.  A scalar is stored canonically as a
 polynomial in theta of degree < d = deg(min_poly), reduced modulo the minimal
 polynomial of theta, with exact rational coefficients.  Equality and the zero
-test are therefore exact.  A sign is decided by interval Horner over a
-certified enclosure of theta whose ends are dyadic rationals, computed on
-scaled integers with no Fraction and no float; the enclosure is narrowed by
-bisection until the evaluation excludes zero, within a number of halvings
-bounded from the coefficients (FieldContext.sign).
+test are therefore exact.  A sign is decided by the value at the midpoint of
+a certified enclosure of theta with dyadic ends against a mean-value bound
+(Moore 1966): two integer dot products with a plan cached per enclosure, with
+no Fraction and no float.  The enclosure is bisected until the test decides,
+within a number of halvings bounded from the coefficients (FieldContext.sign).
 
 FieldContext owns the field arithmetic on plain coefficient tuples: the exact
 sign of an int tuple (sign) and the products with powers of theta, reduced
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import cos, isqrt, lcm, pi
+from operator import mul
 
 # Largest field degree a FieldContext accepts.  Labels (7, 11, 13) need degree
 # 360, where one 20-letter word takes minutes; I2(251), degree 125, is fast.
@@ -180,6 +181,36 @@ def _poly_sign_at(poly, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _midpoint_plan(interval, d: int) -> tuple:
+    """(interval, values, weights, scale) of FieldContext.sign, degree d, dyadic ends.
+
+    With q = 2^e the ends' common denominator, L = lo*q, H = hi*q, M = L + H,
+    Q = 2q and r the least integer >= max(|lo|, |hi|): values[k] = M^k Q^(d-1-k), so sum c_k values[k] is
+    p(m) Q^(d-1) at the midpoint m = M/Q; weights[k] = k r^(k-1) and
+    scale = (H-L) Q^(d-2), so the slack scale * sum |c_k| weights[k] is
+    Q^(d-1) (hi-lo)/2 sum k |c_k| r^(k-1) >= Q^(d-1) |p(x) - p(m)| (mean value).
+    """
+    lo, hi = interval
+    q = max(lo.denominator, hi.denominator)
+    e = q.bit_length() - 1
+    L, H = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    M, r = L + H, -(-max(abs(L), abs(H)) // q)
+    values, power = [], 1  # power is M^k, one running product
+    for k in range(d):
+        values.append(power << ((e + 1) * (d - 1 - k)))
+        power *= M
+    weights = [k * r ** (k - 1) if k else 0 for k in range(d)]
+    return interval, values, weights, (H - L) << ((e + 1) * (d - 2))
+
+
+def _plan_sign(coeffs, plan) -> int:
+    """+1 or -1 when the midpoint value outweighs the slack of the plan, 0 when undecided."""
+    _, values, weights, scale = plan
+    value = sum(map(mul, coeffs, values))
+    slack = scale * sum(map(mul, map(abs, coeffs), weights))
+    return 1 if value > slack else -1 if -value > slack else 0
+
+
 class FieldDegreeError(ValueError):
     """The field Q(2cos(pi/N)) has a degree above MAX_FIELD_DEGREE; nothing was built."""
 
@@ -194,13 +225,14 @@ class FieldContext:
 
     Immutable after construction, except that the cached rational enclosure of
     theta may be narrowed; narrowing keeps every previously visible enclosure
-    valid, so concurrent readers are never wrong (the interval is swapped in
-    as one tuple).  Orders whose degree phi(2N)/2 exceeds MAX_FIELD_DEGREE are
-    rejected with FieldDegreeError before any polynomial is built.
+    valid, so concurrent readers are never wrong (the interval, and the sign
+    plan that names it, are swapped in as one tuple each).  Orders whose degree
+    phi(2N)/2 exceeds MAX_FIELD_DEGREE are rejected with FieldDegreeError
+    before any polynomial is built.
     """
 
     __slots__ = (
-        "order", "min_poly", "degree", "zero", "one", "theta", "_interval", "_sign_at_lo",
+        "order", "min_poly", "degree", "zero", "one", "theta", "_interval", "_sign_at_lo", "_plan",
     )
 
     def __init__(self, order: int):
@@ -227,6 +259,7 @@ class FieldContext:
             coeffs = [0] * d
             coeffs[1] = 1
             self.theta = AlgebraicScalar(self, tuple(coeffs))
+        self._plan = (None,)  # _midpoint_plan of the enclosure it names
 
     def _initial_interval(self) -> tuple[Fraction, Fraction]:
         # Certified seed around the float value: widen until the minimal
@@ -264,46 +297,41 @@ class FieldContext:
         self._interval = (lo, hi)
 
     def sign(self, coeffs) -> int:
-        """Exact sign of sum coeffs[k] theta^k for d ints, by interval Horner on
-        scaled integers; no Fraction, no float.
+        """Exact sign of sum coeffs[k] theta^k for d ints; no Fraction, no float.
 
-        The ints are evaluated by _scaled_horner over the current enclosure of
-        theta, whose ends are dyadic (a float seed plus or minus 2^-k, then
-        bisected).  An enclosure that excludes zero decides the sign; otherwise
-        theta is narrowed and the evaluation repeats.  The field's interval is
-        read once per attempt, so a concurrent narrowing is never half seen.
+        The plan of the enclosure of theta (_midpoint_plan, dyadic ends, kept
+        until the enclosure narrows) gives V = p(m) at the midpoint and a bound
+        S >= |p(theta) - p(m)|, both times one power of two: V > S decides +1,
+        -V > S decides -1 (_plan_sign), and otherwise theta is narrowed.  The
+        interval is read once per attempt and a plan names its own, so a
+        concurrent narrowing is never half seen.
 
         The narrowing is bounded.  The cleared value p(theta) = sum c_k theta^k
         is a nonzero algebraic integer of degree d (deg p < d), and every
         conjugate 2cos(j*pi/N) of theta lies in [-2, 2], so every conjugate of
         p(theta) is at most B = sum |c_k| 2^k in absolute value.  Their product,
         the norm, is a nonzero integer, so |p(theta)| >= B^-(d-1).  The
-        enclosure [lo, hi] of theta, of width h, lies inside [-3, 3] (its seed
-        is within 2^-8 of theta in [0, 2)), and an interval product A*X is at
-        most |A| w(X) + |X| w(A) wide, so the Horner enclosure is at most h * W
-        wide, W = sum k |c_k| 3^(k-1).  Once h * W * B^(d-1) < 1, an enclosure
-        containing zero would put |p(theta)| below its bound, so it excludes
-        zero; an undecided sign after that many halvings is an ArithmeticError.
+        enclosure, of width h, lies inside [-3, 3] (its seed is within 2^-8 of
+        theta in [0, 2)), so the plan's r <= 3 and the slack is at most h*W/2,
+        W = sum k |c_k| 3^(k-1).  Undecided, |p(theta)| <= |p(m)| + h*W/2 <= h*W.
+        Once h * W * B^(d-1) < 1, that would put |p(theta)| below its bound, so
+        the test decides; undecided after that many halvings is an ArithmeticError.
         """
         if not any(coeffs[1:]):  # rational, and zero exactly when coeffs[0] is
             c = coeffs[0]
             return (c > 0) - (c < 0)
-        top = len(coeffs)
-        while not coeffs[top - 1]:
-            top -= 1
-        ints = coeffs[:top]
-        budget = None  # halvings left before the enclosure must decide
+        budget = None  # halvings left before the test must decide
         halvings = 8
         while True:
-            lo, hi = self._interval
-            rlo, rhi = _scaled_horner(ints, lo, hi)
-            if rlo > 0:
-                return 1
-            if rhi < 0:
-                return -1
+            interval, plan = self._interval, self._plan
+            if plan[0] is not interval:
+                plan = self._plan = _midpoint_plan(interval, self.degree)
+            if sign := _plan_sign(coeffs, plan):
+                return sign
             if budget is None:
-                bound = sum(abs(c) << k for k, c in enumerate(ints)) ** (self.degree - 1)
-                widening = sum(k * abs(c) * 3 ** (k - 1) for k, c in enumerate(ints) if k)
+                lo, hi = interval
+                bound = sum(abs(c) << k for k, c in enumerate(coeffs)) ** (self.degree - 1)
+                widening = sum(k * abs(c) * 3 ** (k - 1) for k, c in enumerate(coeffs) if k)
                 budget = int((hi - lo) * widening * bound).bit_length()  # 2^budget > h*W*B^(d-1)
             if budget <= 0:
                 raise ArithmeticError("sign undecided on an enclosure narrow enough to decide it")

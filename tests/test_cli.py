@@ -69,6 +69,16 @@ def test_reduce_bad_token_usage_error():
     assert "3" in proc.stderr
 
 
+@pytest.mark.parametrize("word", ["1 \u0661", "1 \u00b3"],
+                         ids=["arabic-indic-one", "superscript-three"])
+def test_reduce_non_ascii_digit_is_usage_error(word):
+    # str.isdigit() holds for these, and int() reads the first as 1
+    proc = run("reduce", "--type", "A3", "--word", word)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "bad generator index" in proc.stderr
+
+
 def test_involution_nf_examples():
     doc, proc = run_json("involution-nf", "--type", "A2", "--word", "1 2 1")
     assert proc.returncode == 0

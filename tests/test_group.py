@@ -324,15 +324,19 @@ class ScalarWalk:
         self.one = 1 if ctx.field.degree == 1 else ctx.field.one
         self.zero = 0 if ctx.field.degree == 1 else ctx.field.zero
 
+    def reflect_weights(self, v, s):
+        """(s*v)_s = -v_s and (s*v)_t = v_t + a_st*v_s, in place."""
+        x = v[s]
+        for t in range(self.n):
+            if t != s:
+                v[t] = v[t] + self.ctx.action_coeff[s][t] * x
+        v[s] = -x
+
     def orbit(self, word):
         """w(rho) for w the product of the word."""
         v = [self.one] * self.n
         for s in reversed(word):
-            x = v[s]
-            for t in range(self.n):
-                if t != s:
-                    v[t] = v[t] + self.ctx.action_coeff[s][t] * x
-            v[s] = -x
+            self.reflect_weights(v, s)
         return v
 
     def act(self, word, coords):
@@ -355,11 +359,7 @@ class ScalarWalk:
         v, out = self.orbit(word), []
         while (s := next((t for t in range(self.n) if self.sign(v[t]) < 0), None)) is not None:
             out.append(s)
-            x = v[s]
-            for t in range(self.n):
-                if t != s:
-                    v[t] = v[t] + self.ctx.action_coeff[s][t] * x
-            v[s] = -x
+            self.reflect_weights(v, s)
         return tuple(out)
 
 
@@ -402,3 +402,37 @@ def test_flat_vectors_match_scalar_walk(system):
             assert ctx.simple_root(t) == oracle.flat(alpha)
             assert w.column(t) == oracle.flat(oracle.act(w.word, alpha))
             assert ctx.reflect(t, w.column(t)) == oracle.flat(oracle.act((t,) + w.word, alpha))
+
+
+@pytest.mark.parametrize("system", ["A5", "H4", "deg12"])
+def test_reflection_tables_match_textbook_formula(system):
+    # One walk per table and generator, on random flat int vectors with zero
+    # blocks and zero coefficients, against the formulas on action_coeff:
+    # (s*v)_s = -v_s, (s*v)_t = v_t + a_st*v_s on weights, and
+    # (s*g)_s = -g_s + sum_t a_st*g_t on roots.  Walking s twice is the identity.
+    spec = ORACLE_MATRICES.get(system)
+    ctx = CoxeterContext(spec) if spec else CoxeterContext.from_name(system)
+    oracle = ScalarWalk(ctx)
+    n, d = ctx.rank, ctx.field.degree
+    rng = random.Random(f"tables-{system}")
+    for _ in range(20):
+        flat = []
+        for _ in range(n):
+            zero_block = rng.random() < 0.25
+            flat += [0 if zero_block or rng.random() < 0.3 else rng.randint(-99, 99)
+                     for _ in range(d)]
+        coords = [flat[t] if d == 1 else ctx.field.from_coeffs(flat[t * d:(t + 1) * d])
+                  for t in range(n)]
+        for s in range(n):
+            weights = list(coords)
+            oracle.reflect_weights(weights, s)
+            v = list(flat)
+            ctx._reflect_weights(v, (s,))
+            assert tuple(v) == oracle.flat(weights)
+            ctx._reflect_weights(v, (s,))
+            assert v == flat
+            g = list(flat)
+            ctx._walk(g, (s,), ctx._root_table)
+            assert tuple(g) == oracle.flat(oracle.act((s,), coords))
+            ctx._walk(g, (s,), ctx._root_table)
+            assert g == flat

@@ -348,6 +348,7 @@ def test_certificate_path_walks_no_root(monkeypatch, system):
             cert = involution_certificate(w)
             assert cert.verify(w)
             certified.append((w, cert))
+    assert "_root_table" not in vars(ctx)  # built on the first root walk only
     for J, minus_one in types.items():
         if is_finite_parabolic(ctx, J):
             rho = longest_element(ctx, J)

@@ -1,6 +1,7 @@
 """Exact field arithmetic: minimal polynomials, ring ops, certified signs."""
 
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 from time import perf_counter
@@ -329,6 +330,8 @@ def test_concurrent_sign_determination_consistent():
                        for _ in range(f.degree)])
         for _ in range(120)
     ]
+    # near-zero scalars, so that the threads narrow the enclosure and rebuild its plan
+    scalars += [f.theta * q - p for p, q in _convergents(theta_numeric(12)) if q >= 10**4]
     expected = [s.sign() for s in scalars]
     fresh = FieldContext(12)
     copies = [fresh.from_coeffs(s.coeffs) for s in scalars]
@@ -338,10 +341,17 @@ def test_concurrent_sign_determination_consistent():
         results[idx] = [s.sign() for s in copies]
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside plan builds and narrowings
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
     for got in results.values():
         assert got == expected
     lo, hi = fresh.theta_enclosure()
@@ -445,11 +455,51 @@ def test_sign_matches_fraction_horner_and_mpmath(order, count, max_q):
     assert seed[0] <= lo < hi <= seed[1] and hi - lo < seed[1] - seed[0]
 
 
+@pytest.mark.parametrize("order", [5, 7, 11, 35, 60],
+                         ids=["deg2", "deg3", "deg5", "deg12", "deg16"])
+def test_plan_sign_matches_mpmath_from_a_cold_seed(order):
+    # FieldContext.sign on int tuples, from a field's cold seed enclosure,
+    # against mpmath at a precision the norm bound makes sufficient: a nonzero
+    # value is at least B^-(d-1), B = sum |c_k| 2^k, so d*log2(B) bits and a
+    # margin resolve it.  Random tuples, and near-zero ones (D theta - N)^k r
+    # with N/D close to theta, reduced in the field; those force narrowing,
+    # after which the cached plan must belong to the current enclosure.
+    rng = random.Random(f"plan-{order}")
+    f = FieldContext(order)
+    d = f.degree
+    seed = f._interval
+    theta = theta_numeric(order)
+    tuples = [tuple(rng.randint(-10**6, 10**6) for _ in range(d)) for _ in range(150)]
+    for _ in range(60):
+        den = rng.randint(10**2, 10**6)
+        near = f.from_coeffs([-int(mpmath.nint(den * theta)), den])
+        x = f.from_coeffs([rng.randint(-99, 99) for _ in range(d)] + [1])
+        for _ in range(rng.randint(1, 3)):
+            x = x * near
+        tuples.append(x.coeffs)
+    assert f.sign((0,) * d) == 0
+    for coeffs in tuples:
+        bound = sum(abs(c) << k for k, c in enumerate(coeffs))
+        with mpmath.workprec(d * bound.bit_length() + 64):
+            x = 2 * mpmath.cos(mpmath.pi / order)
+            value = mpmath.fsum(c * x**k for k, c in enumerate(coeffs))
+            assert value != 0
+            expected = 1 if value > 0 else -1
+        assert f.sign(coeffs) == expected, coeffs
+    lo, hi = f._interval
+    assert seed[0] <= lo < hi <= seed[1] and hi - lo < seed[1] - seed[0]
+    assert f._plan[0] is f._interval
+    for end in (lo, hi):  # the plan shifts by the bit length of a dyadic denominator
+        assert end.denominator & (end.denominator - 1) == 0
+
+
 @pytest.mark.parametrize("order,size,den", [(5, 10**6, 99), (35, 10**6, 99), (251, 9, 1)],
                          ids=["deg2", "deg12", "deg125"])
 def test_sign_that_never_decides_raises_within_its_halving_budget(monkeypatch, order, size, den):
-    # A kernel whose enclosure always straddles zero must exhaust the halving
-    # budget of FieldContext.sign (|p(theta)| >= B^-(d-1)) and raise, not hang.
+    # A sign test that never decides must exhaust the halving budget of
+    # FieldContext.sign (|p(theta)| >= B^-(d-1)) and raise, not hang.  The
+    # plans and the bisection's point evaluations are stubbed too: at degree
+    # 125, 15935 real halvings take minutes and their plans seconds.
     rng = random.Random(order)
     f = FieldContext(order)
     fresh = FieldContext(order)  # the same seed interval, built before the patch
@@ -466,6 +516,8 @@ def test_sign_that_never_decides_raises_within_its_halving_budget(monkeypatch, o
         refine(field, count)
 
     monkeypatch.setattr(FieldContext, "refine_theta", counted_refine)
+    monkeypatch.setattr(scalar, "_plan_sign", lambda coeffs, plan: 0)
+    monkeypatch.setattr(scalar, "_midpoint_plan", lambda interval, d: (interval,))
     monkeypatch.setattr(scalar, "_scaled_horner", lambda coeffs, lo, hi: (-1, 1))
     start = perf_counter()
     with pytest.raises(ArithmeticError, match="narrow enough"):
