@@ -8,10 +8,12 @@ ints, with no scalar of this module.  A scalar is stored canonically as a
 polynomial in theta of degree < d = deg(min_poly), reduced modulo the minimal
 polynomial of theta, with exact rational coefficients.  Equality and the zero
 test are therefore exact.  A sign is decided by the value at the midpoint of
-a certified enclosure of theta with dyadic ends against a mean-value bound
-(Moore 1966): two integer dot products with a plan cached per enclosure, with
-no Fraction and no float.  The enclosure is bisected until the test decides,
-within a number of halvings bounded from the coefficients (FieldContext.sign).
+a certified enclosure [L/2^e, H/2^e] of theta, kept as the int triple (L, H, e),
+against a mean-value bound (Moore 1966): two integer dot products with a plan
+cached per enclosure, with no Fraction and no float.  The enclosure is bisected
+on the same ints, the minimal polynomial evaluated at each midpoint by one
+integer Horner (_scaled_value), until the test decides, within a number of
+halvings bounded from the coefficients (FieldContext.sign).
 
 FieldContext owns the field arithmetic on plain coefficient tuples: the exact
 sign of an int tuple (sign) and the products with powers of theta, reduced
@@ -148,53 +150,34 @@ def _check_no_rational_root(poly: list[int]) -> None:
             candidates.update((k, -k, a0 // k, -(a0 // k)))
         k += 1
     for r in candidates:
-        if _scaled_horner(poly, r, r)[0] == 0:
+        if _scaled_value(poly, r, 0) == 0:
             raise ArithmeticError(f"reducible minimal polynomial, root {r}")
 
 
-def _scaled_horner(coeffs, lo, hi) -> tuple[int, int]:
-    """Interval Horner enclosure of sum coeffs[k] x^k over x in [lo, hi], scaled.
+def _scaled_value(coeffs, X: int, e: int) -> int:
+    """sum coeffs[k] x^k at the dyadic point x = X/2^e, times 2^(e*top), top = len(coeffs) - 1.
 
-    coeffs holds top ints; lo and hi are ints or Fractions.  With q the common
-    denominator of lo and hi, L = lo*q and H = hi*q, the steps
-    R_k = {R_(k+1)*L, R_(k+1)*H} + coeffs[k]*q^(top-1-k) run on plain ints and
-    give the enclosure of the rational interval Horner times q^(top-1) > 0:
-    the same bounds, so the same signs, with no Fraction arithmetic.  A point
-    lo == hi gives the exact value, scaled.
+    Horner on plain ints: R_k = R_(k+1)*X + coeffs[k]*2^(e*(top-k)); the scale
+    is a positive power of two, so the sign is the value's.
     """
-    q = lcm(lo.denominator, hi.denominator)
-    L = lo.numerator * (q // lo.denominator)
-    H = hi.numerator * (q // hi.denominator)
-    rlo = rhi = coeffs[-1]
-    scale = 1
-    for k in range(len(coeffs) - 2, -1, -1):
-        scale *= q
-        p1, p2, p3, p4 = rlo * L, rlo * H, rhi * L, rhi * H
-        c = coeffs[k] * scale
-        rlo = min(p1, p2, p3, p4) + c
-        rhi = max(p1, p2, p3, p4) + c
-    return rlo, rhi
-
-
-def _poly_sign_at(poly, x: Fraction) -> int:
-    acc = _scaled_horner(poly, x, x)[0]
-    return (acc > 0) - (acc < 0)
+    acc, shift = coeffs[-1], 0
+    for c in reversed(coeffs[:-1]):
+        shift += e
+        acc = acc * X + (c << shift)
+    return acc
 
 
 def _midpoint_plan(interval, d: int) -> tuple:
-    """(interval, values, weights, scale) of FieldContext.sign, degree d, dyadic ends.
+    """(interval, values, weights, scale) of FieldContext.sign, degree d, interval (L, H, e).
 
-    With q = 2^e the ends' common denominator, L = lo*q, H = hi*q, M = L + H,
-    Q = 2q and r the least integer >= max(|lo|, |hi|): values[k] = M^k Q^(d-1-k), so sum c_k values[k] is
-    p(m) Q^(d-1) at the midpoint m = M/Q; weights[k] = k r^(k-1) and
-    scale = (H-L) Q^(d-2), so the slack scale * sum |c_k| weights[k] is
-    Q^(d-1) (hi-lo)/2 sum k |c_k| r^(k-1) >= Q^(d-1) |p(x) - p(m)| (mean value).
+    With M = L + H, Q = 2^(e+1) and r the least integer >= max(|L|, |H|)/2^e:
+    values[k] = M^k Q^(d-1-k), so sum c_k values[k] is p(m) Q^(d-1) at the
+    midpoint m = M/Q; weights[k] = k r^(k-1) and scale = (H-L) Q^(d-2), so the
+    slack scale * sum |c_k| weights[k] is Q^(d-1) (H-L)/2^(e+1) sum k |c_k| r^(k-1)
+    >= Q^(d-1) |p(x) - p(m)| for x in the enclosure (mean value).
     """
-    lo, hi = interval
-    q = max(lo.denominator, hi.denominator)
-    e = q.bit_length() - 1
-    L, H = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-    M, r = L + H, -(-max(abs(L), abs(H)) // q)
+    L, H, e = interval
+    M, r = L + H, -(-max(abs(L), abs(H)) >> e)
     values, power = [], 1  # power is M^k, one running product
     for k in range(d):
         values.append(power << ((e + 1) * (d - 1 - k)))
@@ -223,87 +206,77 @@ class FieldDegreeError(ValueError):
 class FieldContext:
     """The field Q(theta_N) shared by all scalars of one Coxeter system.
 
-    Immutable after construction, except that the cached rational enclosure of
-    theta may be narrowed; narrowing keeps every previously visible enclosure
-    valid, so concurrent readers are never wrong (the interval, and the sign
-    plan that names it, are swapped in as one tuple each).  Orders whose degree
-    phi(2N)/2 exceeds MAX_FIELD_DEGREE are rejected with FieldDegreeError
-    before any polynomial is built.
+    Immutable after construction, except that the cached enclosure of theta
+    may be narrowed.  The enclosure is one tuple (L, H, e) of ints, meaning
+    [L/2^e, H/2^e], with p(L/2^e) < 0 <= p(H/2^e) for the monic minimal
+    polynomial p, whose largest root is theta.  Narrowing keeps every
+    previously visible enclosure valid, so concurrent readers are never wrong
+    (the enclosure, and the sign plan that names it, are swapped in as one
+    tuple each).  Orders whose degree phi(2N)/2 exceeds MAX_FIELD_DEGREE are
+    rejected with FieldDegreeError before any polynomial is built.
     """
 
-    __slots__ = (
-        "order", "min_poly", "degree", "zero", "one", "theta", "_interval", "_sign_at_lo", "_plan",
-    )
+    __slots__ = ("order", "min_poly", "degree", "zero", "one", "theta", "_interval", "_plan")
 
     def __init__(self, order: int):
         if order > _FACTORED_ORDER_LIMIT:
             raise FieldDegreeError(order, f"at least {isqrt(order) // 2}")
-        if euler_phi(2 * order) // 2 > MAX_FIELD_DEGREE:
-            raise FieldDegreeError(order, euler_phi(2 * order) // 2)
+        degree = euler_phi(2 * order) // 2
+        if degree > MAX_FIELD_DEGREE:
+            raise FieldDegreeError(order, degree)
         self.order = order
         self.min_poly = two_cos_minimal_poly(order)
         d = len(self.min_poly) - 1
         self.degree = d
         self.zero = AlgebraicScalar(self, (0,) * d)
-        one = [0] * d
-        one[0] = 1
-        self.one = AlgebraicScalar(self, tuple(one))
-        if d == 1:
-            theta_exact = Fraction(-self.min_poly[0])
-            self._interval = (theta_exact, theta_exact)
-            self._sign_at_lo = 0
-            self.theta = self.rational(theta_exact)
-        else:
-            self._interval = self._initial_interval()
-            self._sign_at_lo = _poly_sign_at(self.min_poly, self._interval[0])
-            coeffs = [0] * d
-            coeffs[1] = 1
-            self.theta = AlgebraicScalar(self, tuple(coeffs))
+        self.one = self.rational(1)
+        self.theta = self.from_coeffs((0, 1))
+        self._interval = self._initial_interval()
         self._plan = (None,)  # _midpoint_plan of the enclosure it names
 
-    def _initial_interval(self) -> tuple[Fraction, Fraction]:
-        # Certified seed around the float value: widen until the minimal
-        # polynomial changes sign across the interval.  Roots of the minimal
-        # polynomial are separated by far more than the float error, so the
-        # bracketed root is 2cos(pi/N) itself.
-        approx = Fraction(2.0 * cos(pi / self.order))
-        eps = Fraction(1, 1 << 28)
-        while eps < Fraction(1, 1 << 8):
-            lo, hi = approx - eps, approx + eps
-            if _poly_sign_at(self.min_poly, lo) * _poly_sign_at(self.min_poly, hi) < 0:
-                return (lo, hi)
-            eps *= 2
+    def _initial_interval(self) -> tuple[int, int, int]:
+        # Certified seed around the float value: widen from 2^-28 until the
+        # minimal polynomial is negative at the lower end and positive at the
+        # upper one.  Roots of the minimal polynomial are separated by far more
+        # than the float error, so the bracketed root is 2cos(pi/N) itself.
+        n, den = (2.0 * cos(pi / self.order)).as_integer_ratio()  # den = 2^k
+        k = den.bit_length() - 1
+        e = max(k, 28)
+        X = n << (e - k)
+        for w in range(e - 28, e - 8):  # half-width 2^w / 2^e
+            L, H = X - (1 << w), X + (1 << w)
+            if _scaled_value(self.min_poly, L, e) < 0 < _scaled_value(self.min_poly, H, e):
+                return L, H, e
         raise ArithmeticError(f"could not bracket 2cos(pi/{self.order})")
 
     def theta_enclosure(self, max_width: Fraction | None = None) -> tuple[Fraction, Fraction]:
         """Current certified enclosure of theta, narrowed to max_width on request."""
-        lo, hi = self._interval
-        while max_width is not None and hi - lo > max_width:
+        L, H, e = self._interval
+        while max_width is not None and Fraction(H - L, 1 << e) > max_width:
             self.refine_theta(1)
-            lo, hi = self._interval
-        return lo, hi
+            L, H, e = self._interval
+        return Fraction(L, 1 << e), Fraction(H, 1 << e)
 
     def refine_theta(self, halvings: int) -> None:
-        if self.degree == 1:
-            return
-        lo, hi = self._interval
-        s_lo = self._sign_at_lo
+        # bisect at M = L + H over 2^(e+1), keeping p(L/2^e) < 0 <= p(H/2^e)
+        L, H, e = self._interval
         for _ in range(halvings):
-            mid = (lo + hi) / 2
-            if _poly_sign_at(self.min_poly, mid) == s_lo:
-                lo = mid
+            M = L + H
+            e += 1
+            if _scaled_value(self.min_poly, M, e) < 0:
+                L, H = M, H << 1
             else:
-                hi = mid
-        self._interval = (lo, hi)
+                L, H = L << 1, M
+        self._interval = (L, H, e)
 
     def sign(self, coeffs) -> int:
         """Exact sign of sum coeffs[k] theta^k for d ints; no Fraction, no float.
 
-        The plan of the enclosure of theta (_midpoint_plan, dyadic ends, kept
+        The plan of the enclosure (L, H, e) of theta (_midpoint_plan, kept
         until the enclosure narrows) gives V = p(m) at the midpoint and a bound
         S >= |p(theta) - p(m)|, both times one power of two: V > S decides +1,
         -V > S decides -1 (_plan_sign), and otherwise theta is narrowed.  The
-        interval is read once per attempt and a plan names its own, so a
+        enclosure is read once per attempt and a plan names its own, so a
         concurrent narrowing is never half seen.
 
         The narrowing is bounded.  The cleared value p(theta) = sum c_k theta^k
@@ -311,11 +284,12 @@ class FieldContext:
         conjugate 2cos(j*pi/N) of theta lies in [-2, 2], so every conjugate of
         p(theta) is at most B = sum |c_k| 2^k in absolute value.  Their product,
         the norm, is a nonzero integer, so |p(theta)| >= B^-(d-1).  The
-        enclosure, of width h, lies inside [-3, 3] (its seed is within 2^-8 of
-        theta in [0, 2)), so the plan's r <= 3 and the slack is at most h*W/2,
-        W = sum k |c_k| 3^(k-1).  Undecided, |p(theta)| <= |p(m)| + h*W/2 <= h*W.
-        Once h * W * B^(d-1) < 1, that would put |p(theta)| below its bound, so
-        the test decides; undecided after that many halvings is an ArithmeticError.
+        enclosure, of width h = (H - L)/2^e, lies inside [-3, 3] (its seed is
+        within 2^-8 of theta in [0, 2)), so the plan's r <= 3 and the slack is
+        at most h*W/2, W = sum k |c_k| 3^(k-1).  Undecided, |p(theta)| <=
+        |p(m)| + h*W/2 <= h*W.  Once h * W * B^(d-1) < 1, that would put
+        |p(theta)| below its bound, so the test decides; undecided after
+        that many halvings is an ArithmeticError.
         """
         if not any(coeffs[1:]):  # rational, and zero exactly when coeffs[0] is
             c = coeffs[0]
@@ -329,10 +303,10 @@ class FieldContext:
             if sign := _plan_sign(coeffs, plan):
                 return sign
             if budget is None:
-                lo, hi = interval
+                L, H, e = interval
                 bound = sum(abs(c) << k for k, c in enumerate(coeffs)) ** (self.degree - 1)
                 widening = sum(k * abs(c) * 3 ** (k - 1) for k, c in enumerate(coeffs) if k)
-                budget = int((hi - lo) * widening * bound).bit_length()  # 2^budget > h*W*B^(d-1)
+                budget = (((H - L) * widening * bound) >> e).bit_length()  # 2^budget > h*W*B^(d-1)
             if budget <= 0:
                 raise ArithmeticError("sign undecided on an enclosure narrow enough to decide it")
             step = min(halvings, budget)

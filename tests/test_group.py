@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coxcent import AlgebraicScalar, CoxeterContext, word_from_string, word_to_string
-from roots import neg, root_sign
+from roots import mp_sign, neg, root_sign
 
 
 def el(ctx, text):
@@ -316,7 +316,8 @@ def test_word_string_roundtrip():
 
 class ScalarWalk:
     """Test oracle: the weight and root reflections on AlgebraicScalar (or int)
-    coordinates, read from the public action_coeff, with no flat table."""
+    coordinates, read from the public action_coeff, with no flat table; signs
+    come from mpmath, not from the field's sign kernel."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -350,7 +351,9 @@ class ScalarWalk:
         return tuple(g)
 
     def sign(self, x):
-        return x.sign() if isinstance(x, AlgebraicScalar) else (x > 0) - (x < 0)
+        if isinstance(x, AlgebraicScalar):
+            return mp_sign(x.coeffs, self.ctx.field.order)
+        return (x > 0) - (x < 0)
 
     def flat(self, v):
         return tuple(c for x in v for c in (x.coeffs if isinstance(x, AlgebraicScalar) else (x,)))

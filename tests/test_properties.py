@@ -18,7 +18,7 @@ import random
 from math import lcm
 
 import pytest
-from roots import neg
+from roots import mp_sign, neg
 from test_group import action_matrix_oracle
 
 from coxcent import (
@@ -136,7 +136,8 @@ class SymmetricRealization:
     """Test oracle: the symmetric 2cos(pi/m) matrix over Q(2cos(pi/lcm of all labels)).
 
     Normal forms peel the least left descent off w(rho); nothing is shared with
-    the Cartan matrix of CoxeterContext but the Coxeter matrix.
+    the Cartan matrix of CoxeterContext but the Coxeter matrix, and signs come
+    from mpmath, not from the field's sign kernel.
     """
 
     def __init__(self, matrix):
@@ -162,13 +163,16 @@ class SymmetricRealization:
 
     def normal_form(self, word):
         v, out = self.orbit(word), []
-        while (s := next((t for t in range(self.rank) if v[t].sign() < 0), None)) is not None:
+        while (s := next((t for t in range(self.rank) if self.negative(v[t])), None)) is not None:
             out.append(s)
             self.reflect(v, s)
         return tuple(out)
 
     def descents(self, v):
-        return frozenset(t for t in range(self.rank) if v[t].sign() < 0)
+        return frozenset(t for t in range(self.rank) if self.negative(v[t]))
+
+    def negative(self, x):
+        return mp_sign(x.coeffs, self.field.order) < 0
 
     def embed(self, x, field):
         """An int, or a scalar of a subfield Q(2cos(pi/N)), as a scalar of this field."""

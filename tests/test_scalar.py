@@ -3,19 +3,19 @@
 import random
 import sys
 from fractions import Fraction
-from math import lcm
+from math import cos, lcm, pi
 from time import perf_counter
-from types import SimpleNamespace
 
 import mpmath
 import pytest
+from roots import mp_sign
 
 from coxcent import CoxeterContext, scalar
 from coxcent.scalar import (
     MAX_FIELD_DEGREE,
     FieldContext,
     FieldDegreeError,
-    _scaled_horner,
+    _scaled_value,
     cyclotomic_polynomial,
     dickson_polynomials,
     euler_phi,
@@ -187,12 +187,12 @@ def test_seed_interval_brackets_exactly_one_root():
     assert len(orders) == 337 and max(orders) == 525
     for order in orders:
         f = FieldContext(order)
-        lo, hi = f._interval
-        if f.degree == 1:
-            assert lo == hi == -f.min_poly[0] == {1: -2, 2: 0, 3: 1}[order]
-            continue
+        lo, hi = f.theta_enclosure()
         poly = f.min_poly
         assert _sign_at(poly, lo) * _sign_at(poly, hi) < 0, order
+        if f.degree == 1:  # the one root is the int -p_0
+            assert lo < -poly[0] < hi and -poly[0] == {1: -2, 2: 0, 3: 1}[order]
+            continue
         theta = theta_numeric(order)
         assert _mp(lo) < theta < _mp(hi), order
         assert _mp(lo) - 2 * mpmath.cos(3 * mpmath.pi / order) > mpmath.mpf(10) ** -6, order
@@ -375,14 +375,19 @@ def _fraction_sign(coeffs, poly, enclosure):
             return 1
         if rhi < 0:
             return -1
-        s_lo = _sign_at(poly, lo)
-        for _ in range(8):
-            mid = (lo + hi) / 2
-            if _sign_at(poly, mid) == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        enclosure[0] = (lo, hi)
+        enclosure[0] = _fraction_bisection(poly, lo, hi, 8)
+
+
+def _fraction_bisection(poly, lo, hi, halvings):
+    # halvings of [lo, hi] over Fractions: the midpoint replaces the end whose sign it shares
+    s_lo = _sign_at(poly, lo)
+    for _ in range(halvings):
+        mid = (lo + hi) / 2
+        if _sign_at(poly, mid) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _convergents(x):
@@ -396,21 +401,44 @@ def _convergents(x):
         x = 1 / (x - a)
 
 
-def test_scaled_horner_is_the_fraction_enclosure_scaled():
-    # The integer kernel returns the Fraction interval Horner's bounds times
-    # q^(top-1), q the common denominator of the ends; after bisection the two
-    # ends carry different powers of two, and a point gives the exact value.
+def test_scaled_value_is_the_fraction_value_scaled():
+    # The integer point Horner returns p(X/2^e) times 2^(e*top), top the
+    # length of the coefficient list less one, for X of either sign, e >= 0
+    # and zero top coefficients.
     rng = random.Random(2718)
-    for _ in range(200):
-        top = rng.randint(1, 14)
-        coeffs = [rng.randint(-99, 99) for _ in range(top - 1)] + [rng.choice((-3, 1, 7))]
-        lo = Fraction(rng.randint(-(1 << 20), 1 << 20), 1 << rng.randint(0, 24))
-        hi = lo + Fraction(rng.randint(0, 1 << 10), 1 << rng.randint(0, 30))
-        q = max(lo.denominator, hi.denominator)
-        rlo, rhi = _interval_eval(SimpleNamespace(coeffs=coeffs), lo, hi)
-        assert _scaled_horner(coeffs, lo, hi) == (rlo * q ** (top - 1), rhi * q ** (top - 1))
-        value = sum(c * lo**k for k, c in enumerate(coeffs)) * lo.denominator ** (top - 1)
-        assert _scaled_horner(coeffs, lo, lo) == (value, value)
+    for _ in range(300):
+        top = rng.randint(0, 13)
+        coeffs = [rng.randint(-99, 99) for _ in range(top)] + [rng.choice((0, -3, 1, 7))]
+        X, e = rng.randint(-(1 << 40), 1 << 40), rng.randint(0, 40)
+        x = Fraction(X, 1 << e)
+        value = sum(c * x**k for k, c in enumerate(coeffs))
+        assert _scaled_value(coeffs, X, e) == value * 2 ** (e * top)
+
+
+def _fraction_seed(order, poly):
+    # the seed enclosure computed over Fractions: the float value of theta,
+    # widened from 2^-28 until the minimal polynomial changes sign across it
+    approx = Fraction(2.0 * cos(pi / order))
+    eps = Fraction(1, 1 << 28)
+    while eps < Fraction(1, 1 << 8):
+        lo, hi = approx - eps, approx + eps
+        if _sign_at(poly, lo) * _sign_at(poly, hi) < 0:
+            return lo, hi
+        eps *= 2
+    raise AssertionError(f"no seed for order {order}")
+
+
+@pytest.mark.parametrize("order,halvings", [(5, 200), (7, 200), (35, 200), (60, 200), (251, 40)],
+                         ids=["deg2", "deg3", "deg12", "deg16", "deg125"])
+def test_integer_bisection_is_the_fraction_bisection(order, halvings):
+    # refine_theta on the int triple (L, H, e) from a fresh field gives, as
+    # rationals, the ends of a Fraction bisection from the Fraction seed.
+    f = FieldContext(order)
+    seed = _fraction_seed(order, f.min_poly)
+    assert f.theta_enclosure() == seed
+    f.refine_theta(halvings // 2)
+    f.refine_theta(halvings - halvings // 2)
+    assert f.theta_enclosure() == _fraction_bisection(f.min_poly, *seed, halvings)
 
 
 @pytest.mark.parametrize("order,count,max_q", [
@@ -425,7 +453,7 @@ def test_sign_matches_fraction_horner_and_mpmath(order, count, max_q):
     rng = random.Random(order)
     f = FieldContext(order)
     d = f.degree
-    seed = f._interval
+    seed = f.theta_enclosure()
     assert _sign_at(f.min_poly, seed[0]) * _sign_at(f.min_poly, seed[1]) < 0
     enclosure = [seed]
     scalars = []
@@ -451,7 +479,7 @@ def test_sign_matches_fraction_horner_and_mpmath(order, count, max_q):
             assert f.sign(x.coeffs) == expected, x
         assert x.sign() == expected, x
         assert _fraction_sign(x.coeffs, f.min_poly, enclosure) == expected, x
-    lo, hi = f._interval
+    lo, hi = f.theta_enclosure()
     assert seed[0] <= lo < hi <= seed[1] and hi - lo < seed[1] - seed[0]
 
 
@@ -461,13 +489,14 @@ def test_plan_sign_matches_mpmath_from_a_cold_seed(order):
     # FieldContext.sign on int tuples, from a field's cold seed enclosure,
     # against mpmath at a precision the norm bound makes sufficient: a nonzero
     # value is at least B^-(d-1), B = sum |c_k| 2^k, so d*log2(B) bits and a
-    # margin resolve it.  Random tuples, and near-zero ones (D theta - N)^k r
-    # with N/D close to theta, reduced in the field; those force narrowing,
-    # after which the cached plan must belong to the current enclosure.
+    # margin resolve it (roots.mp_sign).  Random tuples, and near-zero ones
+    # (D theta - N)^k r with N/D close to theta, reduced in the field; those
+    # force narrowing, after which the cached plan must belong to the current
+    # enclosure.
     rng = random.Random(f"plan-{order}")
     f = FieldContext(order)
     d = f.degree
-    seed = f._interval
+    seed = f.theta_enclosure()
     theta = theta_numeric(order)
     tuples = [tuple(rng.randint(-10**6, 10**6) for _ in range(d)) for _ in range(150)]
     for _ in range(60):
@@ -479,18 +508,13 @@ def test_plan_sign_matches_mpmath_from_a_cold_seed(order):
         tuples.append(x.coeffs)
     assert f.sign((0,) * d) == 0
     for coeffs in tuples:
-        bound = sum(abs(c) << k for k, c in enumerate(coeffs))
-        with mpmath.workprec(d * bound.bit_length() + 64):
-            x = 2 * mpmath.cos(mpmath.pi / order)
-            value = mpmath.fsum(c * x**k for k, c in enumerate(coeffs))
-            assert value != 0
-            expected = 1 if value > 0 else -1
-        assert f.sign(coeffs) == expected, coeffs
-    lo, hi = f._interval
+        assert f.sign(coeffs) == mp_sign(coeffs, order), coeffs
+    lo, hi = f.theta_enclosure()
     assert seed[0] <= lo < hi <= seed[1] and hi - lo < seed[1] - seed[0]
     assert f._plan[0] is f._interval
-    for end in (lo, hi):  # the plan shifts by the bit length of a dyadic denominator
-        assert end.denominator & (end.denominator - 1) == 0
+    L, H, e = f._interval  # the plan reads the int triple (L, H, e) of [L/2^e, H/2^e]
+    assert all(type(n) is int for n in (L, H, e))
+    assert (Fraction(L, 1 << e), Fraction(H, 1 << e)) == (lo, hi)
 
 
 @pytest.mark.parametrize("order,size,den", [(5, 10**6, 99), (35, 10**6, 99), (251, 9, 1)],
@@ -518,7 +542,7 @@ def test_sign_that_never_decides_raises_within_its_halving_budget(monkeypatch, o
     monkeypatch.setattr(FieldContext, "refine_theta", counted_refine)
     monkeypatch.setattr(scalar, "_plan_sign", lambda coeffs, plan: 0)
     monkeypatch.setattr(scalar, "_midpoint_plan", lambda interval, d: (interval,))
-    monkeypatch.setattr(scalar, "_scaled_horner", lambda coeffs, lo, hi: (-1, 1))
+    monkeypatch.setattr(scalar, "_scaled_value", lambda coeffs, X, e: -1)
     start = perf_counter()
     with pytest.raises(ArithmeticError, match="narrow enough"):
         x.sign()
