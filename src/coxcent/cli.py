@@ -30,7 +30,7 @@ from .finite import (
     verify_suite,
 )
 from .group import CoxeterContext, word_from_string, word_to_string
-from .involution import involution_certificate, is_minus_one_type
+from .involution import involution_certificate
 
 
 def _positive_int(text: str) -> int:
@@ -154,22 +154,16 @@ def cmd_involution_nf(ctx, system, word) -> tuple[dict, int]:
         cert = involution_certificate(el)
     except ValueError:  # the descent decides w^2 = 1; this is its only ValueError
         return _not_an_involution(system, el)
-    u = cert.conjugator
-    rho = cert.target()
-    checks = {
-        "minus_one_type": is_minus_one_type(ctx, cert.subset),
-        "conjugation_exact": ctx.represents(u.word + el.word + u.word[::-1], rho),
-    }
     doc = {
         "system": system,
         "w": word_to_string(el.word),
         "I": _subset_out(cert.subset),
-        "u": word_to_string(u.word),
-        "rho_I_word": word_to_string(rho.word),
+        "u": word_to_string(cert.conjugator.word),
+        "rho_I_word": word_to_string(cert.target().word),
         "steps": [s + 1 for s in cert.steps],
-        "checks": checks,
+        "checks": cert.checks(el),
     }
-    return doc, 0 if all(checks.values()) else 1
+    return doc, 0 if all(doc["checks"].values()) else 1
 
 
 def cmd_centralizer(ctx, system, word, cap) -> tuple[dict, int]:

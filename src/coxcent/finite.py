@@ -9,12 +9,14 @@ _bfs), and the search keeps the keys of the layer it is filling only.  The
 result, a FiniteGroup, numbers the elements in ShortLex order and keeps
 three index tables: steps[x][s], the index of x s, and parent[x], last[x]
 with x = parent[x] last[x], so that x's word is read back along the
-parents.  Words and GroupElements are built on demand and not kept.  Two
-more tables are derived once per group, on first use:
+parents.  Words and GroupElements (`group[i]`) are built on demand and not
+kept.  Two more tables are derived once per group, on first use:
 
 * inv[x], the index of x^-1, by first-letter and suffix recurrences along
   the parents, checked to be an involutive permutation;
-* conj[s][x] = s x s = steps[inv[steps[inv[x]][s]]][s], n |W| entries.
+* conj[s][x] = s x s = steps[inv[steps[inv[x]][s]]][s], n |W| entries, read
+  by the normalizer and the class engine.  The involution classes do without
+  it: for an involution i, s i s = (i s)^-1 s = steps[inv[steps[i][s]]][s].
 
 A set of elements is an ElementSet: a view holding the FiniteGroup and the
 strictly increasing indices of its members.  Sorted indices are ShortLex
@@ -42,7 +44,6 @@ CLI's brute_force_match field.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 from itertools import combinations, islice
 from operator import lt
 
@@ -106,7 +107,7 @@ class ElementSet:
         return len(self.indices)
 
     def __iter__(self):
-        return map(self.group.elements.__getitem__, self.indices)
+        return map(self.group.__getitem__, self.indices)
 
     def __contains__(self, element):
         if not isinstance(element, GroupElement) or element.context is not self.group.context:
@@ -119,28 +120,12 @@ class ElementSet:
         return frozenset(map(self.group.word, self.indices))
 
 
-class _Elements(Sequence):
-    """A FiniteGroup's elements in index order, each built when it is asked for."""
-
-    __slots__ = ("_group",)
-
-    def __init__(self, group: FiniteGroup):
-        self._group = group
-
-    def __len__(self):
-        return len(self._group)
-
-    def __getitem__(self, i):
-        group = self._group
-        return GroupElement(group.context, group.word(range(len(group))[i]))
-
-
 class FiniteGroup:
     """The whole group from enumerate_group, as index tables in ShortLex order.
 
     steps[x][s] is the index of x s, and x = parent[x] last[x], so `word(x)`
-    follows the parents.  `elements[i]` builds GroupElement(context,
-    word(i)) on demand, its orbit vector walked lazily.  The inverse table
+    follows the parents.  `group[i]` builds GroupElement(context, word(i))
+    on demand, its orbit vector walked lazily.  The inverse table
     (from the first-letter and suffix recurrences) and the conjugation table
     are derived on first use and kept; the memos hold one normalizer index
     list per parabolic subset and one index pair per conjugacy class.
@@ -163,12 +148,12 @@ class FiniteGroup:
     def __len__(self):
         return len(self._steps)
 
-    @property
-    def elements(self) -> Sequence[GroupElement]:
-        return _Elements(self)
+    def __getitem__(self, i: int) -> GroupElement:
+        """Element i, built on demand; negative indices count from the end."""
+        return GroupElement(self.context, self.word(range(len(self))[i]))
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(self.__getitem__, range(len(self)))
 
     def word(self, i: int) -> tuple[int, ...]:
         """The ShortLex word of element i, read back along the parents."""
@@ -189,7 +174,7 @@ class FiniteGroup:
         return self.walk(0, element.word)
 
     def walk(self, start: int, word) -> int:
-        """Index of elements[start] * (product of the word), by table lookups."""
+        """Index of group[start] * (product of the word), by table lookups."""
         steps = self._steps
         for s in word:
             start = steps[start][s]
@@ -365,9 +350,7 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
 
 def involutions(group: FiniteGroup) -> list[GroupElement]:
     """The g in the group with g g = 1, identity included, in ShortLex order."""
-    inv = group._inverses()
-    elements = group.elements
-    return [elements[i] for i, j in enumerate(inv) if i == j]
+    return [group[i] for i, j in enumerate(group._inverses()) if i == j]
 
 
 def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
@@ -436,8 +419,8 @@ def normalizer(subset, group: FiniteGroup) -> ElementSet:
     members = memo.get(subset)
     if members is not None:
         return ElementSet._trusted(group, members)
+    gens = group.context._checked_subset(subset)
     steps, conj = group._steps, group._conjugation()
-    gens = sorted(subset)
     lab = list(range(len(steps)))
     for x, row in enumerate(steps):
         for s in gens:
@@ -485,13 +468,15 @@ def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
 def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
     """Conjugacy classes of involutions (identity included), with certificates.
 
-    Classes are orbits under conjugation by generators, on the conj table;
-    each is listed with the certificate of its ShortLex-least (so
+    Classes are orbits under conjugation by generators.  The search visits
+    involutions only, and for an involution i, s i s = (i s)^-1 s is three
+    lookups in the step and inverse tables, so no conj table is built.  Each
+    class is listed with the certificate of its ShortLex-least (so
     minimal-length) representative.  Classes come back sorted by their
     representative.  That each class holds the longest element its
     certificate names is checked by the `classes` suite, not here.
     """
-    inv, conj = group._inverses(), group._conjugation()
+    steps, inv = group._steps, group._inverses()
     unassigned = {i for i, j in enumerate(inv) if i == j}
     out = []
     while unassigned:
@@ -500,14 +485,14 @@ def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionC
         frontier = [rep]
         while frontier:
             i = frontier.pop()
-            for table in conj:
-                j = table[i]
+            for s, t in enumerate(steps[i]):
+                j = steps[inv[t]][s]
                 if j not in orbit:
                     orbit.add(j)
                     frontier.append(j)
         unassigned -= orbit
         out.append((ElementSet(group, sorted(orbit)),
-                    involution_certificate(group.elements[rep])))
+                    involution_certificate(group[rep])))
     return out
 
 

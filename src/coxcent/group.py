@@ -136,11 +136,12 @@ class CoxeterContext:
     Immutable and shareable apart from state that fills in once or only
     gains entries: two memos keyed by generator subset, _longest_memo
     (involution.longest_element), holding (word, orbit_key) pairs, and
-    _minus_one_memo (involution.is_minus_one_type); _order, read from the
-    catalog at most once (`order`); and _root_table, built on the first root
-    walk, as no command walks a root.  No attribute holds a GroupElement,
-    which points back at its context, so a context that falls out of use is
-    freed by reference counting, with no wait for the cycle collector.
+    _minus_one_memo (involution.is_minus_one_type); and two cached
+    properties, `order`, read from the catalog at most once, and _root_table,
+    built on the first root walk, as no command walks a root.  No attribute
+    holds a GroupElement, which points back at its context, so a context
+    that falls out of use is freed by reference counting, with no wait for
+    the cycle collector.
     """
 
     def __init__(self, matrix):
@@ -200,16 +201,13 @@ class CoxeterContext:
         )
         self._longest_memo: dict[frozenset, tuple[tuple, tuple]] = {}
         self._minus_one_memo: dict[frozenset, bool] = {}
-        self._order = ...  # not read from the catalog yet
 
-    @property
+    @cached_property
     def order(self) -> int | None:
         """|W| by catalog.group_order, None when W is infinite; classified once per context."""
-        if self._order is ...:
-            from .catalog import group_order
+        from .catalog import group_order
 
-            self._order = group_order(self.matrix)
-        return self._order
+        return group_order(self.matrix)
 
     @classmethod
     def from_name(cls, name: str) -> "CoxeterContext":
@@ -335,10 +333,7 @@ class CoxeterContext:
 
     def element(self, word) -> "GroupElement":
         """ShortLex normal form of an arbitrary generator sequence."""
-        word = tuple(word)
-        for s in word:
-            self._checked_generator(s)
-        return self._normal_form(word)
+        return self._normal_form(self._checked_word(word))
 
     def _checked_generator(self, s: int) -> int:
         """A generator index handed in at the public edge, which must lie in
@@ -347,12 +342,23 @@ class CoxeterContext:
             raise ValueError(f"generator index {s} out of range 0..{self.rank - 1}")
         return s
 
+    def _checked_word(self, word) -> tuple:
+        word = tuple(word)
+        for s in word:
+            self._checked_generator(s)
+        return word
+
+    def _checked_subset(self, subset) -> list[int]:
+        """A generator subset handed in at the public edge, sorted and checked."""
+        return [self._checked_generator(s) for s in sorted(subset)]
+
     def represents(self, word, element: "GroupElement") -> bool:
         """Whether the product of an arbitrary word is `element`, decided with no sign read.
 
         rho lies in the open fundamental chamber, so its stabiliser is trivial
         and x = y iff x^-1(rho) = y^-1(rho): an exact comparison of coefficient
-        tuples.  The word need not be reduced and is never normalised.
+        tuples.  The word need not be reduced and is never normalised; a
+        letter outside 0..rank-1 raises ValueError.
         """
         if element.context is not self:
             raise ValueError("element from a different context")
@@ -360,6 +366,10 @@ class CoxeterContext:
 
     def orbit_key(self, word) -> tuple:
         """x^-1(rho), flat, for x the product of an arbitrary word: x's GroupElement.orbit_key()."""
+        return self._orbit_key(self._checked_word(word))
+
+    def _orbit_key(self, word: tuple) -> tuple:
+        """orbit_key of a word whose letters are known generators, as an element's are."""
         return tuple(self._orbit(word[::-1]))
 
     # --- descents of unreduced words; `orbit` is always x^-1(rho) ---
@@ -443,7 +453,7 @@ class GroupElement:
         """A hashable key, equal for two elements of one context iff they are equal."""
         v = self._inv_rho
         if v is None:
-            v = self._inv_rho = self.context.orbit_key(self.word)
+            v = self._inv_rho = self.context._orbit_key(self.word)
         return v
 
     def act(self, root: tuple) -> tuple:

@@ -31,12 +31,13 @@ from .group import CoxeterContext, GroupElement, word_to_string
 
 def is_involution(w: GroupElement) -> bool:
     """Whether w^2 = 1, i.e. w^-1 = w, by orbit-vector equality."""
-    return w.context.represents(w.word[::-1], w)
+    return w.context._orbit_key(w.word[::-1]) == w.orbit_key()
 
 
 def negated_simples(w: GroupElement) -> frozenset[int]:
     """Generators s with w(alpha_s) = -alpha_s: the right descents with s w s = w."""
-    return frozenset(s for s in w.right_descents() if w.context.represents((s,) + w.word + (s,), w))
+    ctx, key, word = w.context, w.orbit_key(), w.word
+    return frozenset(s for s in w.right_descents() if ctx._orbit_key((s,) + word + (s,)) == key)
 
 
 def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
@@ -48,7 +49,8 @@ def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
     finite-type catalog, not by positive-definiteness; the catalog
     comparison is exact and label-based.
     """
-    return ctx.order is not None or catalog.is_finite_diagram(ctx.matrix, sorted(subset))
+    gens = ctx._checked_subset(subset)
+    return ctx.order is not None or catalog.is_finite_diagram(ctx.matrix, gens)
 
 
 def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
@@ -98,19 +100,24 @@ class InvolutionCertificate(namedtuple("InvolutionCertificate", ("subset", "conj
     def target(self) -> GroupElement:
         return longest_element(self.conjugator.context, self.subset)
 
-    def verify(self, w: GroupElement) -> bool:
-        """Recheck both certificate properties from scratch against w.
-
-        The conjugation u w u^-1 = rho_I is decided exactly, by comparing the
-        orbit vector of the word u + w + u^-1 with that of rho_I.
-        """
+    def checks(self, w: GroupElement) -> dict[str, bool]:
+        """Both certificate properties against w, each decided on its own:
+        minus_one_type, W_I finite with rho_I negating each simple root of I,
+        and conjugation_exact, u w u^-1 = rho_I, by comparing the orbit vectors
+        of the word u + w + u^-1 and of rho_I (False when W_I is infinite)."""
         ctx = self.conjugator.context
         if w.context is not ctx:
-            return False
-        if not is_minus_one_type(ctx, self.subset):
-            return False
+            raise ValueError("element from a different context")
         u = self.conjugator.word
-        return ctx.represents(u + w.word + u[::-1], self.target())
+        try:
+            exact = ctx._orbit_key(u + w.word + u[::-1]) == self.target().orbit_key()
+        except ValueError:  # an infinite W_I has no rho_I
+            exact = False
+        return {"minus_one_type": is_minus_one_type(ctx, self.subset), "conjugation_exact": exact}
+
+    def verify(self, w: GroupElement) -> bool:
+        """Whether w is of the certificate's context and every check holds."""
+        return w.context is self.conjugator.context and all(self.checks(w).values())
 
 
 def involution_certificate(w: GroupElement) -> InvolutionCertificate:
@@ -156,7 +163,7 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
         if len(steps) >= w.length // 2:
             _reject(w, "descent did not reach a parabolic longest element within length/2 steps")
         for s in sorted(descents):
-            key = ctx.orbit_key((s,) + word + (s,))
+            key = ctx._orbit_key((s,) + word + (s,))
             if key != orbit:
                 break
         else:

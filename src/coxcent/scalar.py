@@ -17,9 +17,13 @@ halvings bounded from the coefficients (FieldContext.sign).
 
 FieldContext owns the field arithmetic on plain coefficient tuples: the exact
 sign of an int tuple (sign) and the products with powers of theta, reduced
-modulo the minimal polynomial (multiples).  group.CoxeterContext calls both
-on its flat int vectors with no scalar object built; AlgebraicScalar is the
-value at the public edge, and calls into its field for * and sign.
+modulo the minimal polynomial (multiples).  One step, _shift_fold, multiplies
+by theta and folds the theta^d term back; multiples and from_coeffs (Horner
+in theta) are its only callers, so the field has one reduction.
+group.CoxeterContext calls sign and multiples on its flat int vectors with
+no scalar object built; AlgebraicScalar is the value at the public edge, and
+calls into its field for * and sign.  theta_enclosure reports the current
+enclosure of theta, and refine_theta narrows it.
 
 The minimal polynomial is obtained from the cyclotomic polynomial of order 2N:
 with z on the unit circle and y = z + 1/z, a palindromic Phi_{2N}(z) of degree
@@ -167,6 +171,16 @@ def _scaled_value(coeffs, X: int, e: int) -> int:
     return acc
 
 
+def _shift_fold(column: tuple, low, min_poly) -> tuple:
+    """column times theta, plus low: a shift, with the theta^d term folded back
+    through the monic minimal polynomial."""
+    top = column[-1]
+    column = (low,) + column[:-1]
+    if top:
+        column = tuple(c - top * m for c, m in zip(column, min_poly))
+    return column
+
+
 def _midpoint_plan(interval, d: int) -> tuple:
     """(interval, values, weights, scale) of FieldContext.sign, degree d, interval (L, H, e).
 
@@ -249,12 +263,9 @@ class FieldContext:
                 return L, H, e
         raise ArithmeticError(f"could not bracket 2cos(pi/{self.order})")
 
-    def theta_enclosure(self, max_width: Fraction | None = None) -> tuple[Fraction, Fraction]:
-        """Current certified enclosure of theta, narrowed to max_width on request."""
+    def theta_enclosure(self) -> tuple[Fraction, Fraction]:
+        """Current certified enclosure of theta; refine_theta narrows it."""
         L, H, e = self._interval
-        while max_width is not None and Fraction(H - L, 1 << e) > max_width:
-            self.refine_theta(1)
-            L, H, e = self._interval
         return Fraction(L, 1 << e), Fraction(H, 1 << e)
 
     def refine_theta(self, halvings: int) -> None:
@@ -317,17 +328,13 @@ class FieldContext:
     def multiples(self, coeffs):
         """Yield c*theta^j for j < d as coefficient tuples, c given by its d coefficients.
 
-        Each is the previous one times theta: a shift, with the theta^d term
-        folded back through the monic minimal polynomial.  Lazy, so a caller
+        Each is the previous one times theta (_shift_fold).  Lazy, so a caller
         that needs only the first few columns builds no more.
         """
         column = tuple(coeffs)
         yield column
         for _ in range(self.degree - 1):
-            top = column[-1]
-            column = (0,) + column[:-1]
-            if top:
-                column = tuple(c - top * m for c, m in zip(column, self.min_poly))
+            column = _shift_fold(column, 0, self.min_poly)
             yield column
 
     def rational(self, value) -> "AlgebraicScalar":
@@ -336,18 +343,12 @@ class FieldContext:
         return AlgebraicScalar(self, tuple(coeffs))
 
     def from_coeffs(self, coeffs) -> "AlgebraicScalar":
-        """Scalar from power-basis coefficients of any length; degrees >= d are
-        eliminated from the top down with the monic minimal polynomial."""
-        work = [_norm(c) for c in coeffs]
-        d = self.degree
-        while len(work) > d:
-            top = work.pop()
-            if top:
-                k = len(work)  # degree being eliminated
-                for t, mc in enumerate(self.min_poly[:d]):
-                    work[k - d + t] -= top * mc
-        work += [0] * (d - len(work))
-        return AlgebraicScalar(self, tuple(work))
+        """Scalar from power-basis coefficients of any length, by Horner in theta:
+        each step is one _shift_fold, the reduction that multiples uses."""
+        column = (0,) * self.degree
+        for c in reversed(coeffs):
+            column = _shift_fold(column, _norm(c), self.min_poly)
+        return AlgebraicScalar(self, column)
 
     def two_cos(self, label: int) -> "AlgebraicScalar":
         """The exact value 2cos(pi/m) for bond label m; label 0 encodes m = infinity."""

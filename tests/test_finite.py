@@ -111,9 +111,33 @@ def test_walk_and_inverse_index(group_of):
     for _ in range(40):
         i = rng.randrange(len(group))
         j = rng.randrange(len(group))
-        a, b = group.elements[i], group.elements[j]
-        assert group.elements[group.walk(i, b.word)] == a * b
-        assert group.elements[group._inverses()[i]] == a.inverse()
+        a, b = group[i], group[j]
+        assert group[group.walk(i, b.word)] == a * b
+        assert group[group._inverses()[i]] == a.inverse()
+
+
+def test_normalizer_checks_generator_index(monkeypatch):
+    group = enumerate_group(CoxeterContext.from_name("A3"))
+    for s in (-1, 3):
+        with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
+            normalizer({s}, group)
+    assert not group._normalizer_memo
+    members = normalizer({2}, group).indices
+
+    def unchecked(subset):
+        raise AssertionError("a memo hit checked its subset")
+
+    monkeypatch.setattr(group.context, "_checked_subset", unchecked)
+    assert normalizer({2}, group).indices == members
+
+
+def test_group_indexing(group_of):
+    group = group_of("A3")
+    assert group[0].is_identity and group[-1] == group[len(group) - 1]
+    assert group[-1].length == 6 and list(group) == [group[i] for i in range(len(group))]
+    for i in (len(group), -len(group) - 1):
+        with pytest.raises(IndexError):
+            group[i]
 
 
 def test_centralizer_examples(group_of, context_of):
@@ -324,9 +348,9 @@ def _walk_normalizer(subset, group):
     """
     subset = frozenset(subset)
     members = []
-    for i, el in enumerate(group.elements):
+    for i, el in enumerate(group):
         inv_word = el.word[::-1]
-        if all(set(group.elements[group.walk(group._steps[i][s], inv_word)].word) <= subset
+        if all(set(group[group.walk(group._steps[i][s], inv_word)].word) <= subset
                for s in subset):
             members.append(i)
     return members
@@ -349,11 +373,11 @@ def test_conjugation_table_matches_multiplication(name):
     group = enumerate_group(ctx)
     inv, conj = group._inverses(), group._conjugation()
     assert len(conj) == ctx.rank
-    for x, el in enumerate(group.elements):
-        assert group.elements[inv[x]] == el.inverse()
+    for x, el in enumerate(group):
+        assert group[inv[x]] == el.inverse()
         for s in range(ctx.rank):
             gen = ctx.generator(s)
-            assert group.elements[conj[s][x]] == gen * el * gen
+            assert group[conj[s][x]] == gen * el * gen
 
 
 @pytest.mark.parametrize("name", ["H3", "B4", "D4", "F4"])
@@ -408,7 +432,7 @@ def test_view_requires_strictly_increasing_indices(group_of):
 @pytest.mark.parametrize("name", ["H3", "B4"])
 def test_index_of_walks_the_word(name):
     group = enumerate_group(CoxeterContext.from_name(name))
-    for i, x in enumerate(group.elements):
+    for i, x in enumerate(group):
         assert group.index_of(x) == i
 
 
@@ -495,18 +519,25 @@ def test_classes_suite_counts_involutions_from_the_inverse_table(monkeypatch):
         raise AssertionError("involutions() was called")
 
     built = []
-    getitem = finite._Elements.__getitem__
+    getitem = finite.FiniteGroup.__getitem__
 
     def counting_getitem(self, i):
         built.append(i)
         return getitem(self, i)
 
     monkeypatch.setattr(finite, "involutions", no_involutions)
-    monkeypatch.setattr(finite._Elements, "__getitem__", counting_getitem)
+    monkeypatch.setattr(finite.FiniteGroup, "__getitem__", counting_getitem)
     group = enumerate_group(CoxeterContext.from_name("B4"))
     checked, failures = finite.verify_suite("classes", group)
     assert (checked, failures) == (9, [])
     assert len(built) == 9
+
+
+def test_classes_suite_builds_no_conjugation_table():
+    # the class search visits involutions only, reading s i s = (i s)^-1 s
+    group = enumerate_group(CoxeterContext.from_name("D5"))
+    assert finite.verify_suite("classes", group) == (6, [])
+    assert group._conj is None
 
 
 @pytest.mark.parametrize("suite", finite.SUITES)

@@ -145,6 +145,18 @@ def test_generator_checks_its_index(context_of):
         assert str(from_generator.value) == str(from_element.value)
 
 
+def test_word_api_checks_generator_index(context_of):
+    # a negative letter would be read as generator n - 1, one past the rank
+    # would raise IndexError from the tables
+    ctx = context_of("A3")
+    x = ctx.element((2,))
+    assert ctx.represents((2, 0, 0), x) and ctx.orbit_key([2]) == x.orbit_key()
+    for s in (-1, ctx.rank):
+        for call in (lambda: ctx.represents((s,), x), lambda: ctx.orbit_key((0, s))):
+            with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
+                call()
+
+
 @pytest.mark.parametrize("name", ["A3", "H3"])
 def test_root_api_checks_generator_index(context_of, name):
     # a negative index would wrap around to the last generator

@@ -6,6 +6,7 @@ import pytest
 
 from coxcent import (
     CoxeterContext,
+    InvolutionCertificate,
     involution_certificate,
     involutions,
     is_finite_parabolic,
@@ -74,6 +75,32 @@ def test_is_finite_parabolic(context_of):
     assert not is_finite_parabolic(ctx, (0, 1, 2))
     i27 = context_of("I2(7)")
     assert is_finite_parabolic(i27, (0, 1))
+
+
+@pytest.mark.parametrize("s", [-1, 7])
+def test_subset_functions_check_generator_index(s):
+    # a negative index would be read as generator n - 1 (and memoized under
+    # s), one past the rank would raise IndexError from the tables
+    ctx = fresh_context("A3")
+    for call in (lambda: longest_element(ctx, {s}), lambda: is_minus_one_type(ctx, {0, s}),
+                 lambda: is_finite_parabolic(ctx, {s})):
+        with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
+            call()
+    assert not ctx._longest_memo and not ctx._minus_one_memo
+    affine = fresh_context("Atilde2")
+    with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
+        is_finite_parabolic(affine, {0, 1, s})
+
+
+def test_subset_memo_hits_check_nothing(monkeypatch):
+    ctx = fresh_context("A3")
+    rho, minus = longest_element(ctx, {0, 2}), is_minus_one_type(ctx, {0, 2})
+
+    def unchecked(subset):
+        raise AssertionError("a memo hit checked its subset")
+
+    monkeypatch.setattr(ctx, "_checked_subset", unchecked)
+    assert longest_element(ctx, {0, 2}) == rho and is_minus_one_type(ctx, {0, 2}) == minus
 
 
 def test_finite_group_never_classifies_a_parabolic(monkeypatch, capsys):
@@ -195,6 +222,27 @@ def test_certificate_a3_commuting(context_of):
     assert root_sign(ctx, w.act(ctx.simple_root(1))) > 0
     cert = involution_certificate(w)
     assert cert.subset == {0, 2} and cert.conjugator.is_identity
+
+
+def test_certificate_checks_are_decided_independently():
+    # each check is computed on its own, so a forged certificate shows which
+    # property fails; verify holds only when both do
+    ctx = fresh_context("A2")
+    w0 = longest_element(ctx, {0, 1})  # sends alpha_1 to -alpha_2: not of (-1)-type
+    cert = InvolutionCertificate(frozenset({0, 1}), ctx.identity(), ())
+    assert cert.checks(w0) == {"minus_one_type": False, "conjugation_exact": True}
+    cert = InvolutionCertificate(frozenset({0}), ctx.generator(1), (1,))
+    assert cert.checks(ctx.generator(0)) == {"minus_one_type": True, "conjugation_exact": False}
+    assert not cert.verify(ctx.generator(0))
+    good = involution_certificate(w0)
+    assert good.checks(w0) == {"minus_one_type": True, "conjugation_exact": True} and good.verify(w0)
+    assert not good.verify(fresh_context("A2").identity())
+    with pytest.raises(ValueError, match="different context"):
+        good.checks(fresh_context("A2").identity())
+    affine = fresh_context("Atilde2")
+    infinite = InvolutionCertificate(frozenset({0, 1, 2}), affine.identity(), ())
+    assert infinite.checks(affine.identity()) == {"minus_one_type": False,
+                                                  "conjugation_exact": False}
 
 
 def test_certificate_rejects_non_involutions(context_of):

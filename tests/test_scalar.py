@@ -116,12 +116,25 @@ def test_minimal_polynomial_numeric_root_and_degree(order):
 
 
 def test_minimal_polynomials_match_sympy():
+    # p is the minimal polynomial of theta = 2cos(pi/n) when it is monic and
+    # irreducible, of degree D = [Q(theta):Q] (phi(2n)/2 for n >= 2), and
+    # p(theta) = 0.  The last is proved numerically: with B = sum |c_k| 2^k,
+    # a nonzero p(theta) is an algebraic integer of degree at most D whose
+    # conjugates are all at most B in absolute value (|theta_j| <= 2), so its
+    # norm, a nonzero integer, gives |p(theta)| >= B^-(D-1); mpmath at
+    # D bits(B) + 64 bits shows |p(theta)| < B^-(D-1)/2.
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for order in range(1, 61):
-        expected = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / order), x)
-        coeffs = sympy.Poly(expected, x).all_coeffs()
-        assert two_cos_minimal_poly(order) == tuple(int(c) for c in reversed(coeffs)), order
+        p = two_cos_minimal_poly(order)
+        D = len(p) - 1
+        assert p[-1] == 1 and D == (sympy.totient(2 * order) // 2 if order > 1 else 1), order
+        assert sympy.Poly(list(reversed(p)), x).is_irreducible, order
+        B = sum(abs(c) << k for k, c in enumerate(p))
+        with mpmath.workprec(D * B.bit_length() + 64):
+            theta = 2 * mpmath.cos(mpmath.pi / order)
+            value = mpmath.polyval(list(reversed(p)), theta)
+            assert abs(value) < mpmath.mpf(B) ** -(D - 1) / 2, order
 
 
 def test_field_degree_guard():
@@ -276,13 +289,22 @@ def test_interval_contains_float_evaluation():
     rng = random.Random(7)
     for order in (4, 5, 6, 12):
         f = FieldContext(order)
-        lo, hi = f.theta_enclosure(Fraction(1, 10**12))
+        lo, hi = _narrowed(f, Fraction(1, 10**12))
         for _ in range(250):
             a = f.from_coeffs([rng.randint(-50, 50) for _ in range(f.degree)])
             value = Fraction(a.to_float())
             plo, phi = _interval_eval(a, lo, hi)
             width = phi - plo
             assert plo - width <= value <= phi + width
+
+
+def _narrowed(f, max_width):
+    # the enclosure of theta after halving it until it is at most max_width wide
+    lo, hi = f.theta_enclosure()
+    while hi - lo > max_width:
+        f.refine_theta(1)
+        lo, hi = f.theta_enclosure()
+    return lo, hi
 
 
 def _interval_eval(scalar, lo, hi):
@@ -296,7 +318,7 @@ def _interval_eval(scalar, lo, hi):
 def test_theta_enclosure_narrows_monotonically():
     f = FieldContext(12)
     lo1, hi1 = f.theta_enclosure()
-    lo2, hi2 = f.theta_enclosure(Fraction(1, 10**30))
+    lo2, hi2 = _narrowed(f, Fraction(1, 10**30))
     assert lo1 <= lo2 <= hi2 <= hi1
     assert hi2 - lo2 <= Fraction(1, 10**30)
     target = theta_numeric(12)
@@ -570,20 +592,21 @@ def _schoolbook_product(a, b, poly):
             conv[i + j] += ai * bj
     for k in range(len(conv) - 1, d - 1, -1):
         q = conv[k]
-        for j, m in enumerate(poly):
-            conv[k - d + j] -= q * m
+        if q:
+            for j, m in enumerate(poly):
+                conv[k - d + j] -= q * m
     return tuple(conv[:d])
 
 
 @pytest.mark.parametrize("order", [5, 12, 35, 251], ids=["deg2", "deg4", "deg12", "deg125"])
 def test_multiples_and_products_match_polynomial_division(order):
-    # FieldContext.multiples is shared by AlgebraicScalar.__mul__ and the
-    # Cartan tables of CoxeterContext, so it is checked against two sides
-    # that do not use it: from_coeffs' top-down elimination, and a schoolbook
-    # product reduced by polynomial division.  The vectors include zero top
+    # FieldContext.multiples is shared by AlgebraicScalar.__mul__, from_coeffs
+    # and the Cartan tables of CoxeterContext, so it is checked against sides
+    # that do not use it: theta^j c and a 2d-long vector reduced by
+    # polynomial division, and a schoolbook product reduced the same way.  The vectors include zero top
     # coefficients, rational and zero ones, with int and Fraction entries; a
     # Fraction vector is zero past its first 12 coefficients, so that degree
-    # 125 stays fast in from_coeffs.
+    # 125 stays fast in the division.
     rng = random.Random(f"multiples-{order}")
     f = FieldContext(order)
     d = f.degree
@@ -598,7 +621,9 @@ def test_multiples_and_products_match_polynomial_division(order):
         multiples = list(f.multiples(c))
         assert len(multiples) == d
         for j, column in enumerate(multiples):
-            assert column == f.from_coeffs([0] * j + c).coeffs
+            assert column == _schoolbook_product([1], [0] * j + c, f.min_poly)
+        # from_coeffs reduces a vector of any length through the same step
+        assert f.from_coeffs(c + c[::-1]).coeffs == _schoolbook_product([1], c + c[::-1], f.min_poly)
     for a in vectors:
         for b in vectors:
             product = (f.from_coeffs(a) * f.from_coeffs(b)).coeffs
