@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from math import factorial
 
-INFINITE = 0
+INFINITE = 0  # external encoding of m_st = infinity
 
 
 def _empty(rank: int) -> list[list[int]]:

@@ -34,13 +34,14 @@ from .involution import involution_certificate
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    """A positive integer, digits counted before int(): no enumeration passes sys.maxsize."""
+    digits = text.lstrip("0")
+    if not (text.isascii() and text.isdigit()) or not digits:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+    if len(digits) > len(str(sys.maxsize)) or int(digits) > sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            f"a number with {len(digits)} digits is over the limit of {sys.maxsize}")
+    return int(digits)
 
 
 # the input each command takes besides its system

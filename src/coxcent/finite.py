@@ -44,6 +44,7 @@ CLI's brute_force_match field.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from itertools import combinations, islice
 from operator import lt
 
@@ -137,8 +138,6 @@ class FiniteGroup:
                  steps: list[tuple[int, ...]]):
         self.context = context
         self._parent, self._last, self._steps = parent, last, steps
-        self._inv: list[int] | None = None
-        self._conj: list[list[int]] | None = None
         # subset -> N_W(W_I) as a validated index list, shared by every view of it
         self._normalizer_memo: dict[frozenset, list[int]] = {}
         # member index -> (Z_W(rep) as indices, transversal c -> g with
@@ -180,7 +179,8 @@ class FiniteGroup:
             start = steps[start][s]
         return start
 
-    def _inverses(self) -> list[int]:
+    @cached_property
+    def _inv(self) -> list[int]:
         """inv[x], the index of x^-1, in one pass along the parents, with no walk.
 
         Write x = f y with f the first letter of x's word.  Then x^-1 = y^-1 f,
@@ -194,39 +194,32 @@ class FiniteGroup:
         of the sets they compare, so a wrong inverse must fail here instead
         of agreeing with itself.
         """
-        inv = self._inv
-        if inv is None:
-            steps, parent, last = self._steps, self._parent, self._last
-            first, suffix, inv = [0] * len(steps), [0] * len(steps), list(range(len(steps)))
-            for x in range(1, len(steps)):
-                p, s = parent[x], last[x]
-                if p:
-                    f = first[x] = first[p]
-                    y = suffix[x] = steps[suffix[p]][s]
-                    inv[x] = steps[inv[y]][f]
-                else:
-                    first[x] = s
-            if any(inv[j] != i for i, j in enumerate(inv)):
-                raise AssertionError("inverse table is not an involution")
-            self._inv = inv
+        steps, parent, last = self._steps, self._parent, self._last
+        first, suffix, inv = [0] * len(steps), [0] * len(steps), list(range(len(steps)))
+        for x in range(1, len(steps)):
+            p, s = parent[x], last[x]
+            if p:
+                f = first[x] = first[p]
+                y = suffix[x] = steps[suffix[p]][s]
+                inv[x] = steps[inv[y]][f]
+            else:
+                first[x] = s
+        if any(inv[j] != i for i, j in enumerate(inv)):
+            raise AssertionError("inverse table is not an involution")
         return inv
 
-    def _conjugation(self) -> list[list[int]]:
+    @cached_property
+    def _conj(self) -> list[list[int]]:
         """conj[s][x], the index of s x s: (x^-1 s)^-1 s, four lookups per entry."""
-        conj = self._conj
-        if conj is None:
-            steps, inv = self._steps, self._inverses()
-            conj = self._conj = [
-                [steps[inv[steps[y][s]]][s] for y in inv] for s in range(self.context.rank)
-            ]
-        return conj
+        steps, inv = self._steps, self._inv
+        return [[steps[inv[steps[y][s]]][s] for y in inv] for s in range(self.context.rank)]
 
     def _conjugate(self, indices, word) -> list[int]:
         """The indices of u^-1 x u for x in `indices`, u the product of the word.
 
         u^-1 x u = s_m..s_1 x s_1..s_m: one conj lookup per letter and member.
         """
-        conj = self._conjugation()
+        conj = self._conj
         for s in word:
             table = conj[s]
             indices = [table[x] for x in indices]
@@ -350,7 +343,7 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
 
 def involutions(group: FiniteGroup) -> list[GroupElement]:
     """The g in the group with g g = 1, identity included, in ShortLex order."""
-    return [group[i] for i, j in enumerate(group._inverses()) if i == j]
+    return [group[i] for i, j in enumerate(group._inv) if i == j]
 
 
 def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
@@ -384,7 +377,7 @@ def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     memo = group._class_memo
     found = memo.get(k)
     if found is None:
-        conj = group._conjugation()
+        conj = group._conj
         d = [k]
         for p, s in zip(islice(group._parent, 1, None), islice(group._last, 1, None)):
             d.append(conj[s][d[p]])
@@ -420,7 +413,7 @@ def normalizer(subset, group: FiniteGroup) -> ElementSet:
     if members is not None:
         return ElementSet._trusted(group, members)
     gens = group.context._checked_subset(subset)
-    steps, conj = group._steps, group._conjugation()
+    steps, conj = group._steps, group._conj
     lab = list(range(len(steps)))
     for x, row in enumerate(steps):
         for s in gens:
@@ -476,7 +469,7 @@ def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionC
     representative.  That each class holds the longest element its
     certificate names is checked by the `classes` suite, not here.
     """
-    steps, inv = group._steps, group._inverses()
+    steps, inv = group._steps, group._inv
     unassigned = {i for i, j in enumerate(inv) if i == j}
     out = []
     while unassigned:
@@ -542,7 +535,7 @@ def _suite_classes(group):
         if longest_element(group.context, cert.subset) not in members:
             failures.append({"instance": instance,
                              "reason": "class misses its certificate's longest element"})
-    count = sum(i == j for i, j in enumerate(group._inverses()))
+    count = sum(i == j for i, j in enumerate(group._inv))
     if sum(len(c) for c, _ in classes) != count:
         failures.append({"instance": "partition", "reason": "classes do not cover all involutions"})
     return len(classes), failures

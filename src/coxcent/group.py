@@ -48,12 +48,15 @@ pure functions of their inputs, safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from math import gcd
 
+from .catalog import INFINITE
 from .scalar import FieldContext
 
-INFINITE_BOND = 0  # external encoding of m_st = infinity
+# the digits of sys.maxsize, which bounds every rank and so every generator index
+_INDEX_DIGITS = len(str(sys.maxsize))
 
 # 2cos(pi/k) for the k where it is rational: the bond orders of labels 1 to 4 and 6
 _RATIONAL_TWO_COS = {1: -2, 2: 0, 3: 1}
@@ -85,18 +88,23 @@ def validate_coxeter_matrix(matrix) -> tuple[tuple[int, ...], ...]:
             m = row[j]
             if m != rows[j][i]:
                 raise ValueError(f"matrix not symmetric at ({i},{j})")
-            if m != INFINITE_BOND and m < 2:
+            if m != INFINITE and m < 2:
                 raise ValueError(f"invalid label {m} at ({i},{j}); use 0 for infinity")
     return rows
 
 
 def word_from_string(text: str) -> tuple[int, ...]:
-    """Parse whitespace-separated 1-based generator indices to a 0-based word."""
+    """Parse whitespace-separated 1-based generator indices to a 0-based word;
+    digits are counted before int(), which refuses 4,300 of them."""
     out = []
     for token in text.split():
-        if not (token.isascii() and token.isdigit()) or int(token) < 1:
+        digits = token.lstrip("0")
+        if not (token.isascii() and token.isdigit()) or not digits:
             raise ValueError(f"bad generator index {token!r}")
-        out.append(int(token) - 1)
+        if len(digits) > _INDEX_DIGITS:
+            raise ValueError(f"bad generator index: a number with {len(digits)} digits "
+                             f"is over the limit of {sys.maxsize}")
+        out.append(int(digits) - 1)
     return tuple(out)
 
 
@@ -134,11 +142,11 @@ class CoxeterContext:
     t*d + j of a neighbour block, pairs (s*d + k, M_st[k][j]).
 
     Immutable and shareable apart from state that fills in once or only
-    gains entries: two memos keyed by generator subset, _longest_memo
-    (involution.longest_element), holding (word, orbit_key) pairs, and
-    _minus_one_memo (involution.is_minus_one_type); and two cached
-    properties, `order`, read from the catalog at most once, and _root_table,
-    built on the first root walk, as no command walks a root.  No attribute
+    gains entries: one memo keyed by generator subset, _longest_memo, whose
+    entry involution._parabolic fills once per subset (None if infinite, else
+    rho_I's word, orbit_key and (-1)-type); and two cached properties,
+    `order`, read from the catalog at most once, and _root_table, built on
+    the first root walk, as no command walks a root.  No attribute
     holds a GroupElement, which points back at its context, so a context
     that falls out of use is freed by reference counting, with no wait for
     the cycle collector.
@@ -151,7 +159,7 @@ class CoxeterContext:
         for row in self.matrix:
             for m in row:
                 k = _bond_order(m)
-                if m != INFINITE_BOND and k not in _RATIONAL_TWO_COS:
+                if m != INFINITE and k not in _RATIONAL_TWO_COS:
                     order = order * k // gcd(order, k)
         field = self.field = FieldContext(order)
         self._degree = d = field.degree
@@ -163,7 +171,7 @@ class CoxeterContext:
             nbr = []
             for t in range(n):
                 m = self.matrix[s][t]
-                if m == INFINITE_BOND:
+                if m == INFINITE:
                     a = scalar(2)
                 elif m == 2:
                     a = scalar(0)
@@ -199,8 +207,7 @@ class CoxeterContext:
         self._simple_roots = tuple(
             (0,) * (s * d) + unit + (0,) * ((n - 1 - s) * d) for s in range(n)
         )
-        self._longest_memo: dict[frozenset, tuple[tuple, tuple]] = {}
-        self._minus_one_memo: dict[frozenset, bool] = {}
+        self._longest_memo: dict[frozenset, tuple[tuple, tuple, bool] | None] = {}
 
     @cached_property
     def order(self) -> int | None:
@@ -392,7 +399,7 @@ class CoxeterContext:
         yet left descents until none is left; the result does not depend on
         the choices, and the climb ends holding w(rho), so one peel gives the
         word.  Never returns on an infinite parabolic: callers check finiteness
-        first (involution.longest_element does).
+        first (involution._parabolic does).
         """
         gens = sorted(subset)
         v = list(self._rho)

@@ -17,6 +17,10 @@ conjugator handed back, and no root is walked.  For s in D(x), x s x^-1 is
 the reflection in x(alpha_s) (Humphreys 1990, Reflection Groups and Coxeter
 Groups, 5.7), so s is in N(x) exactly when s x s = x.
 
+Whether W_I is finite, its longest element rho_I and whether (W_I, I) is of
+(-1)-type are decided once per subset and context, into one memo entry
+(_parabolic), the only thing the subset queries and the certificate read.
+
 The certificate is what reduces a centralizer Z_W(w) to a conjugated parabolic
 normalizer: Z_W(w) = u^-1 N_W(W_I) u (verified on finite groups in .finite).
 """
@@ -53,35 +57,32 @@ def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
     return ctx.order is not None or catalog.is_finite_diagram(ctx.matrix, gens)
 
 
-def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
-    """Longest element of a finite standard parabolic, by greedy ascent.
-
-    The ascent is CoxeterContext.greedy_longest; its word and orbit key are
-    memoized per context, and each call wraps them in a new element, so the
-    memo holds nothing that points back at the context.  Rejects infinite
-    parabolics.
-    """
+def _parabolic(ctx: CoxeterContext, subset):
+    """The subset's memo entry, decided once per context: None if W_I is infinite,
+    else (word, orbit_key, minus_one) of rho_I, minus_one whether rho_I negates
+    every simple root of I.  A miss checks the subset; a hit checks nothing."""
     key = frozenset(subset)
-    cached = ctx._longest_memo.get(key)
-    if cached is None:
-        if not is_finite_parabolic(ctx, key):
-            raise ValueError(f"infinite parabolic subgroup on {sorted(s + 1 for s in key)}")
-        element = ctx.greedy_longest(key)
-        cached = ctx._longest_memo[key] = (element.word, element.orbit_key())
-    return GroupElement(ctx, *cached)
+    memo = ctx._longest_memo
+    if key not in memo:
+        rho = ctx.greedy_longest(key) if is_finite_parabolic(ctx, key) else None
+        memo[key] = None if rho is None else (
+            rho.word, rho.orbit_key(), negated_simples(rho) >= key)
+    return memo[key]
+
+
+def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
+    """Longest element of a finite standard parabolic; rejects infinite ones."""
+    key = frozenset(subset)
+    entry = _parabolic(ctx, key)
+    if entry is None:
+        raise ValueError(f"infinite parabolic subgroup on {sorted(s + 1 for s in key)}")
+    return GroupElement(ctx, entry[0], entry[1])
 
 
 def is_minus_one_type(ctx: CoxeterContext, subset) -> bool:
-    """Whether the parabolic is finite with a longest element negating all its simples.
-
-    Memoized per context; an infinite parabolic gives False.
-    """
-    key = frozenset(subset)
-    cached = ctx._minus_one_memo.get(key)
-    if cached is None:
-        cached = is_finite_parabolic(ctx, key) and negated_simples(longest_element(ctx, key)) >= key
-        ctx._minus_one_memo[key] = cached
-    return cached
+    """Whether W_I is finite with rho_I negating every simple root of I."""
+    entry = _parabolic(ctx, subset)
+    return entry is not None and entry[2]
 
 
 class InvolutionCertificate(namedtuple("InvolutionCertificate", ("subset", "conjugator", "steps"))):
@@ -109,11 +110,9 @@ class InvolutionCertificate(namedtuple("InvolutionCertificate", ("subset", "conj
         if w.context is not ctx:
             raise ValueError("element from a different context")
         u = self.conjugator.word
-        try:
-            exact = ctx._orbit_key(u + w.word + u[::-1]) == self.target().orbit_key()
-        except ValueError:  # an infinite W_I has no rho_I
-            exact = False
-        return {"minus_one_type": is_minus_one_type(ctx, self.subset), "conjugation_exact": exact}
+        entry = _parabolic(ctx, self.subset)  # None: an infinite W_I has no rho_I
+        exact = entry is not None and ctx._orbit_key(u + w.word + u[::-1]) == entry[1]
+        return {"minus_one_type": entry is not None and entry[2], "conjugation_exact": exact}
 
     def verify(self, w: GroupElement) -> bool:
         """Whether w is of the certificate's context and every check holds."""
@@ -156,10 +155,9 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
     word, orbit = w.word, w.orbit_key()
     while True:
         descents, screened = ctx.screened_descents(orbit)
-        if screened and is_minus_one_type(ctx, descents):
-            rho = longest_element(ctx, descents)
-            if orbit == rho.orbit_key():
-                break
+        entry = _parabolic(ctx, descents) if screened else None
+        if entry and entry[2] and orbit == entry[1]:
+            break
         if len(steps) >= w.length // 2:
             _reject(w, "descent did not reach a parabolic longest element within length/2 steps")
         for s in sorted(descents):
@@ -170,7 +168,7 @@ def involution_certificate(w: GroupElement) -> InvolutionCertificate:
             _reject(w, "descents all negated, yet the conjugate is not their longest element")
         steps.append(s)
         word, orbit = (s,) + word + (s,), key
-    if rho.length != w.length - 2 * len(steps):
+    if len(entry[0]) != w.length - 2 * len(steps):
         raise AssertionError("descent did not reach the parabolic longest element by 2 per step")
     return InvolutionCertificate(
         subset=descents, conjugator=ctx.element(steps[::-1]), steps=tuple(steps)

@@ -1,6 +1,15 @@
+import os
+
 import pytest
 
+import coxcent
 from coxcent import CoxeterContext, enumerate_group
+
+# the tests that start `python -m coxcent` run the package imported here
+_SOURCE = os.path.dirname(os.path.dirname(coxcent.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SOURCE, os.environ.get("PYTHONPATH")))
+)
 
 _CONTEXTS: dict[str, CoxeterContext] = {}
 _GROUPS: dict[str, object] = {}

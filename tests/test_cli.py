@@ -246,6 +246,32 @@ def test_type_with_thousands_of_leading_zeros_is_read():
     assert {**doc, "system": "A3"} == expected
 
 
+@pytest.mark.parametrize("args", [
+    ("reduce", "--type", "A3", "--word", "1 " + "7" * 5000),
+    ("verify", "--type", "A3", "--suite", "main", "--max-order", "7" * 5000),
+], ids=["word-5000-digits", "max-order-5000-digits"])
+def test_numbers_with_thousands_of_digits_are_usage_errors(args):
+    # a word's indices and --max-order have their digits counted before
+    # int(), which Python refuses past 4,300 digits with a message about its
+    # own setting
+    proc = run(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"5000 digits is over the limit of {sys.maxsize}" in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("reduce", "--type", "A3", "--word", "0" * 5000 + "2 1"),
+    ("verify", "--type", "A3", "--suite", "main", "--max-order", "0" * 5000 + "24"),
+], ids=["word", "max-order"])
+def test_thousands_of_leading_zeros_are_read(args):
+    doc, proc = run_json(*args)
+    assert proc.returncode == 0
+    expected, _ = run_json(*(arg.lstrip("0") for arg in args))
+    assert doc == expected
+
+
 def test_matrix_file_with_field_degree_over_limit(tmp_path):
     # lcm(7, 11, 13) = 1001: the field would have degree 360
     path = tmp_path / "deg360.json"

@@ -86,7 +86,7 @@ def test_subset_functions_check_generator_index(s):
                  lambda: is_finite_parabolic(ctx, {s})):
         with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
             call()
-    assert not ctx._longest_memo and not ctx._minus_one_memo
+    assert not ctx._longest_memo
     affine = fresh_context("Atilde2")
     with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
         is_finite_parabolic(affine, {0, 1, s})
@@ -410,18 +410,47 @@ def test_certificate_path_walks_no_root(monkeypatch, system):
 
 @pytest.mark.parametrize("system", ["H4", "B4", "Atilde3", "inf4"])
 def test_minus_one_memo_matches_a_fresh_context(system):
-    # every subset, infinite parabolics included: the memoized answer equals
-    # the one computed on a new context, and a second call returns it again
+    # every subset, infinite parabolics included: one memo entry per subset,
+    # None for an infinite one, equal to the entry a new context computes,
+    # and a second call returns the same answer from it
     ctx = fresh_context(system)
     infinite = 0
     for mask in range(1 << ctx.rank):
         subset = frozenset(s for s in range(ctx.rank) if mask >> s & 1)
-        expected = is_minus_one_type(fresh_context(system), subset)
-        first = is_minus_one_type(ctx, subset)
-        assert first is expected and ctx._minus_one_memo[subset] is expected
+        fresh = fresh_context(system)
+        expected = is_minus_one_type(fresh, subset)
+        assert is_minus_one_type(ctx, subset) is expected
+        assert ctx._longest_memo[subset] == fresh._longest_memo[subset]
         assert is_minus_one_type(ctx, sorted(subset)) is expected
         if not is_finite_parabolic(ctx, subset):
-            assert expected is False
+            assert expected is False and ctx._longest_memo[subset] is None
             infinite += 1
-    assert len(ctx._minus_one_memo) == 1 << ctx.rank
+        else:
+            word, _, minus_one = ctx._longest_memo[subset]
+            assert minus_one is expected and longest_element(ctx, subset).word == word
+    assert len(ctx._longest_memo) == 1 << ctx.rank
     assert infinite > 0 or system in ("H4", "B4")
+
+
+def test_each_subset_is_classified_once_per_context(monkeypatch):
+    # finiteness, rho_I and (-1)-type all come from one memo entry per
+    # subset, so repeated queries of any kind classify its diagram once
+    calls = []
+    real = catalog.is_finite_diagram
+
+    def counting(matrix, subset):
+        calls.append(frozenset(subset))
+        return real(matrix, subset)
+
+    monkeypatch.setattr(catalog, "is_finite_diagram", counting)
+    ctx = fresh_context("Atilde4")
+    pair, whole = frozenset({0, 2}), frozenset(range(5))
+    for _ in range(2):
+        assert is_minus_one_type(ctx, pair) and longest_element(ctx, pair).word == (0, 2)
+        assert InvolutionCertificate(pair, ctx.identity(), ()).verify(ctx.element((0, 2)))
+        assert not is_minus_one_type(ctx, whole)
+        with pytest.raises(ValueError, match="infinite parabolic"):
+            longest_element(ctx, whole)
+        assert InvolutionCertificate(whole, ctx.identity(), ()).checks(ctx.identity()) == {
+            "minus_one_type": False, "conjugation_exact": False}
+    assert sorted(calls, key=len) == [pair, whole]
