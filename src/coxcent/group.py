@@ -16,11 +16,13 @@ coordinates.  This is the one representation of roots, walked only by the
 public root API: simple_root, reflect, act, column and inversion_set take and
 return these tuples, in the layout of orbit_key().  A reflection is one pass
 over a precomputed integer table of the context, with no scalar object built.
-Every sign of a flat coordinate is read through CoxeterContext._coord_sign,
-which at d >= 2 hands the coordinate's int slice to FieldContext.sign, the
-one exact sign path; the tables come from FieldContext.multiples.  Only
-action_coeff holds field scalars, as the public statement of the Cartan
-matrix.
+At d = 1 a coordinate's sign is its int's own: the routines that read signs
+or reflect one letter at a time (_peel, _negative_coords, screened_descents,
+greedy_longest) test v[t] < 0 and v[s] == -1 directly.  At d >= 2 every sign
+is read through CoxeterContext._coord_sign, which hands the coordinate's int
+slice to FieldContext.sign, the one exact sign path; the tables come from
+FieldContext.multiples.  Only action_coeff holds field scalars, as the
+public statement of the Cartan matrix.
 
 A group element is its ShortLex reduced word plus, once asked for, the vector
 w^-1(rho) in weight coordinates, where rho = (1, ..., 1).  Coordinate t of
@@ -32,8 +34,9 @@ coordinates of the neighbours of s.  Only this module reads these vectors.
 Every normal form comes from one routine: build w(rho) from any word for w,
 then peel the least negative coordinate (the least left descent) one letter
 at a time.  No reflection automaton is used; the only primitive is the exact
-sign of a coordinate, read lazily so that a rescan after one peel step only
-evaluates the coordinates that step changed.
+sign of a coordinate.  At d >= 2 it is read lazily, so that a rescan after
+one peel step only evaluates the coordinates that step changed; at d = 1 a
+rescan compares ints.
 
 Group identities need no normal form.  rho lies in the open fundamental
 chamber, so x = y iff x^-1(rho) = y^-1(rho), compared coefficient by
@@ -138,7 +141,8 @@ class CoxeterContext:
     pairs (source, -2) negate.  _weight_table[s] has one group per source
     s*d + j, pairs (t*d + k, M_st[k][j]) into each neighbour block t and the
     self-pair; at d = 1 it is the (t, a_st) pairs of v[s], walked by a loop
-    of its own.  _root_table[s] negates block s, then has one group per source
+    of its own in _reflect_weights and inline by the one-letter steps of
+    _peel.  _root_table[s] negates block s, then has one group per source
     t*d + j of a neighbour block, pairs (s*d + k, M_st[k][j]).
 
     Immutable and shareable apart from state that fills in once or only
@@ -263,12 +267,11 @@ class CoxeterContext:
     def _coord_sign(self, v, t: int) -> int:
         """Exact sign of coordinate t of a flat vector."""
         d = self._degree
-        if d == 1:
-            x = v[t]
-            return (x > 0) - (x < 0)
         return self.field.sign(v[t * d : t * d + d])
 
     def _negative_coords(self, v) -> frozenset[int]:
+        if self._degree == 1:
+            return frozenset(t for t, x in enumerate(v) if x < 0)
         return frozenset(t for t in range(self.rank) if self._coord_sign(v, t) < 0)
 
     def _is_minus_one(self, v, t: int) -> bool:
@@ -289,10 +292,22 @@ class CoxeterContext:
         The least negative coordinate of v is the least left descent s of w, the
         first letter of its ShortLex word; v then becomes s(v), the vector of s*w.
         """
+        word = []
+        if self._degree == 1:  # each sign is the int's own; s reflects inline, with no call per letter
+            table = self._weight_table
+            while True:
+                for s, x in enumerate(v):
+                    if x < 0:
+                        break
+                else:
+                    return GroupElement(self, tuple(word))
+                word.append(s)
+                for t, a in table[s]:
+                    v[t] += a * x
+                v[s] = -x
         n = self.rank
         neighbors = self.neighbors
         signs = [None] * n  # sign of coordinate t, None until read or after it changed
-        word = []
         while True:
             for s in range(n):
                 sign = signs[s]
@@ -377,7 +392,9 @@ class CoxeterContext:
 
     def _orbit_key(self, word: tuple) -> tuple:
         """orbit_key of a word whose letters are known generators, as an element's are."""
-        return tuple(self._orbit(word[::-1]))
+        v = list(self._rho)
+        self._reflect_weights(v, word)
+        return tuple(v)
 
     # --- descents of unreduced words; `orbit` is always x^-1(rho) ---
 
@@ -390,6 +407,8 @@ class CoxeterContext:
         necessary for D = N, with no further walk.
         """
         descents = self._negative_coords(orbit)
+        if self._degree == 1:  # every coordinate -1 is negative
+            return descents, orbit.count(-1) == len(descents)
         return descents, all(self._is_minus_one(orbit, s) for s in descents)
 
     def greedy_longest(self, subset) -> "GroupElement":
@@ -398,16 +417,20 @@ class CoxeterContext:
         Left-multiplies the identity by generators of the subset that are not
         yet left descents until none is left; the result does not depend on
         the choices, and the climb ends holding w(rho), so one peel gives the
-        word.  Never returns on an infinite parabolic: callers check finiteness
+        word.  The longest element is an involution, so that vector is also
+        its orbit_key, handed to the element before the peel consumes it.
+        Never returns on an infinite parabolic: callers check finiteness
         first (involution._parabolic does).
         """
         gens = sorted(subset)
         v = list(self._rho)
-        while True:
-            s = next((t for t in gens if self._coord_sign(v, t) > 0), None)
-            if s is None:
-                return self._peel(v)
+        sign = v.__getitem__ if self._degree == 1 else (lambda t: self._coord_sign(v, t))
+        while (s := next((t for t in gens if sign(t) > 0), None)) is not None:
             self._reflect_weights(v, (s,))
+        key = tuple(v)
+        rho = self._peel(v)
+        rho._inv_rho = key
+        return rho
 
     def reflect(self, s: int, root: tuple) -> tuple:
         """Apply the simple reflection s to a root (involutive)."""

@@ -134,6 +134,24 @@ def test_is_positive_reads_exact_signs_of_fraction_coordinates():
         assert [c.sign() for c in (x, 2 * x, x)] == [expected] * 3
 
 
+@pytest.mark.parametrize("matrix,message", [
+    ([], "empty Coxeter matrix"),
+    ([[1, 3, 2], [3, 1], [2, 2, 1.0]], "row 1 has length 2, expected 3"),
+    ([[1, 3, 2], [3, 1, 0], [2, True, 1.5]], "entry (2,1) must be an integer, got True"),
+    ([[1, 4, 2], [3, 1, 2], [2, 2, 0]], "matrix not symmetric at (0,1)"),
+    ([[1, 3, 2], [3, 2, 2], [2, 2, 0]], "diagonal entry (1,1) must be 1"),
+    ([[1, 3, 1], [3, 1, -2], [1, -2, 1]], "invalid label 1 at (0,2); use 0 for infinity"),
+    ([[1, 3, 2], [3, 1, -2], [2, -2, 5]], "invalid label -2 at (1,2); use 0 for infinity"),
+    ([[1, 3, 2], [3, 1, 5], [2, 4, 1]], "matrix not symmetric at (1,2)"),
+], ids=["empty", "length", "type", "symmetry", "diagonal", "one", "negative", "late-symmetry"])
+def test_matrix_validation_names_the_first_bad_entry(matrix, message):
+    # the checks run row by row: length and type over all rows first, then
+    # the diagonal, symmetry and label of each entry in row-major order
+    with pytest.raises(ValueError) as caught:
+        CoxeterContext(matrix)
+    assert str(caught.value) == message
+
+
 def test_generator_checks_its_index(context_of):
     ctx = context_of("A2")
     assert ctx.generator(1).word == (1,)
@@ -155,6 +173,12 @@ def test_word_api_checks_generator_index(context_of):
         for call in (lambda: ctx.represents((s,), x), lambda: ctx.orbit_key((0, s))):
             with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
                 call()
+    # a word with several bad letters names the first one in word order, and
+    # a NaN letter, which no comparison holds for, is refused as well
+    for call in (ctx.element, ctx.orbit_key, lambda word: ctx.represents(word, x)):
+        for word, s in (((0, 9, -1), 9), ((0, float("nan"), 1), "nan")):
+            with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
+                call(word)
 
 
 @pytest.mark.parametrize("name", ["A3", "H3"])

@@ -432,6 +432,22 @@ def test_minus_one_memo_matches_a_fresh_context(system):
     assert infinite > 0 or system in ("H4", "B4")
 
 
+@pytest.mark.parametrize("system", ["A5", "F4", "H3", "Atilde4", "deg12"])
+def test_memo_vector_is_the_orbit_key_of_its_word(system):
+    # the memo takes rho_I's vector from the climb of greedy_longest, which
+    # ends at rho_I(rho) = rho_I^-1(rho); a walk of the word must agree
+    ctx = fresh_context(system)
+    finite = 0
+    for mask in range(1 << ctx.rank):
+        is_minus_one_type(ctx, frozenset(s for s in range(ctx.rank) if mask >> s & 1))
+    for entry in ctx._longest_memo.values():
+        if entry is not None:
+            word, key, _ = entry
+            assert key == ctx.orbit_key(word)
+            finite += 1
+    assert finite > 1 and (ctx.order is None or finite == 1 << ctx.rank)
+
+
 def test_each_subset_is_classified_once_per_context(monkeypatch):
     # finiteness, rho_I and (-1)-type all come from one memo entry per
     # subset, so repeated queries of any kind classify its diagram once

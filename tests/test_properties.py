@@ -11,7 +11,9 @@ action.
 The realization itself is cross-checked against the symmetric one,
 2cos(pi/m_st) over Q(2cos(pi/L)) with L the lcm of all finite labels, on
 catalog systems and on further matrices whose labels include 5, 8, 10 and 12,
-so that field degrees 2 and up are exercised too.
+so that field degrees 2 and up are exercised too.  On 20 further integer
+matrices, of rank 4 to 7, certificates are checked step for step against
+the same descent run on the symmetric realization.
 """
 
 import random
@@ -39,8 +41,8 @@ LABELS = (2, 3, 4, 6, 0)  # 0 encodes an infinite bond
 MATRICES = 30
 
 
-def random_matrix(rng):
-    n = rng.randint(2, 4)
+def random_matrix(rng, ranks=(2, 4)):
+    n = rng.randint(*ranks)
     m = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -231,3 +233,44 @@ def test_cartan_realization_matches_symmetric_oracle(system):
         assert w.right_descents() == oracle.descents(oracle.orbit(a[::-1]))
         for b, other in zip(words, orbits):
             assert ctx.represents(b, w) == (other == orbit)
+
+
+CERTIFIED_MATRICES = 20
+
+
+def symmetric_descent(oracle, word):
+    """The certificate descent on the symmetric realization's orbit vectors.
+
+    x starts as the involution; D is the set of right descents of x, read off
+    x^-1(rho), and N the s in D with s x s = x, by equality of orbit vectors.
+    While D != N, x becomes s x s for s = min(D \\ N).  Returns (D, the steps,
+    the ShortLex word of the conjugator s_k ... s_1).
+    """
+    steps, x = [], tuple(word)
+    while True:
+        key = oracle.orbit(x[::-1])
+        descents = oracle.descents(key)
+        s = next((s for s in sorted(descents)
+                  if oracle.orbit((s,) + x[::-1] + (s,)) != key), None)
+        if s is None:
+            return descents, tuple(steps), oracle.normal_form(steps[::-1])
+        steps.append(s)
+        x = (s,) + x + (s,)
+
+
+@pytest.mark.parametrize("seed", range(CERTIFIED_MATRICES))
+def test_integer_certificate_matches_symmetric_descent(seed):
+    # the degree-1 descent (int signs, inline reflections) against the same
+    # descent on 2cos(pi/m) scalars with mpmath signs, step for step
+    rng = random.Random(f"certified-{seed}")
+    ctx = CoxeterContext(random_matrix(rng, ranks=(4, 7)))
+    assert ctx.field.degree == 1
+    oracle = SymmetricRealization(ctx.matrix)
+    n = ctx.rank
+    subsets = [frozenset(s for s in range(n) if mask >> s & 1) for mask in range(1, 1 << n)]
+    rhos = [longest_element(ctx, J).word for J in subsets if is_minus_one_type(ctx, J)]
+    for _ in range(3):
+        x = tuple(rng.randrange(n) for _ in range(rng.randint(0, 12)))
+        w = ctx.element(x + rng.choice(rhos) + x[::-1])
+        cert = involution_certificate(w)
+        assert (cert.subset, cert.steps, cert.conjugator.word) == symmetric_descent(oracle, w.word)
