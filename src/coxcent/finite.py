@@ -23,13 +23,13 @@ strictly increasing indices of its members.  Sorted indices are ShortLex
 order, so a view needs no sort key, and no word dict is kept, for a view or
 for W: an element's index is its word walked through the step table.  Past
 that lookup, no oracle but the brute-force `centralizer` walks a word.  The
-involutions are the x with inv[x] = x.  `normalizer` labels the left cosets
-x W_I.  The class engine (`class_centralizer`) makes one pass over W per
-conjugacy class along the BFS tree, d[g] = g^-1 rep g =
-conj[last[g]][d[parent[g]]], whose fibre at rep is Z_W(rep), and gets
-Z_W(c) = g^-1 Z_W(rep) g for the other members c; conjugating an index set
-by a word costs one conj lookup per letter and member.  The suites compare
-the `.indices` of the views.
+involutions are the x with inv[x] = x.  The conjugation pass of k runs
+along the BFS tree, d[g] = g^-1 k g = conj[last[g]][d[parent[g]]].
+`normalizer` keeps x iff d_s[x] lies in W_I for every s in I.  The class
+engine (`class_centralizer`) makes one pass per conjugacy class, whose fibre
+at rep is Z_W(rep), and gets Z_W(c) = g^-1 Z_W(rep) g for the other members
+c; conjugating an index set by a word costs one conj lookup per letter and
+member.  The suites compare the `.indices` of the views.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
@@ -128,8 +128,9 @@ class FiniteGroup:
     follows the parents.  `group[i]` builds GroupElement(context, word(i))
     on demand, its orbit vector walked lazily.  The inverse table
     (from the first-letter and suffix recurrences) and the conjugation table
-    are derived on first use and kept; the memos hold one normalizer index
-    list per parabolic subset and one index pair per conjugacy class.
+    are derived on first use and kept, as are the generators' conjugation
+    passes; the memos hold one normalizer index list per parabolic subset
+    and one index pair per conjugacy class.
     Nothing held here refers back to the group, so it is freed by reference
     counting.
     """
@@ -143,6 +144,8 @@ class FiniteGroup:
         # member index -> (Z_W(rep) as indices, transversal c -> g with
         # g^-1 rep g = c), one shared pair per conjugacy class met so far
         self._class_memo: dict[int, tuple[list[int], dict[int, int]]] = {}
+        # generator index -> its conjugation pass, at most rank lists of |W| slots
+        self._passes: dict[int, list[int]] = {}
 
     def __len__(self):
         return len(self._steps)
@@ -213,6 +216,19 @@ class FiniteGroup:
         """conj[s][x], the index of s x s: (x^-1 s)^-1 s, four lookups per entry."""
         steps, inv = self._steps, self._inv
         return [[steps[inv[steps[y][s]]][s] for y in inv] for s in range(self.context.rank)]
+
+    def _pass(self, k: int) -> list[int]:
+        """d[g], the index of g^-1 k g, with d[g] = s d[p] s for g = p s along
+        the BFS tree; kept when k is a generator, index 1..rank."""
+        d = self._passes.get(k)
+        if d is None:
+            conj = self._conj
+            d = [k]
+            for p, s in zip(islice(self._parent, 1, None), islice(self._last, 1, None)):
+                d.append(conj[s][d[p]])
+            if 0 < k <= self.context.rank:
+                self._passes[k] = d
+        return d
 
     def _conjugate(self, indices, word) -> list[int]:
         """The indices of u^-1 x u for x in `indices`, u the product of the word.
@@ -364,10 +380,9 @@ def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
 def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     """Z_W(w) from the class engine, one pass over W per conjugacy class.
 
-    The first member of a class asked for becomes its rep.  Its pass runs
-    along the BFS tree: g = p s with s = last[g] and p = parent[g], which
-    comes earlier, so d[g] = g^-1 rep g = s d[p] s is one conj lookup.  The
-    fibre d == rep is Z_W(rep), and the first g in index order with d[g] = c
+    The first member of a class asked for becomes its rep, and its
+    conjugation pass gives d[g] = g^-1 rep g for every g.  The fibre
+    d == rep is Z_W(rep), and the first g in index order with d[g] = c
     is kept as c's transversal element.  Only that pair is kept, under every
     member's index; a later member c costs |Z_W(rep)| lookups per letter of
     its transversal element g, as Z_W(c) = g^-1 Z_W(rep) g.  Same set as the
@@ -377,10 +392,7 @@ def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     memo = group._class_memo
     found = memo.get(k)
     if found is None:
-        conj = group._conj
-        d = [k]
-        for p, s in zip(islice(group._parent, 1, None), islice(group._last, 1, None)):
-            d.append(conj[s][d[p]])
+        d = group._pass(k)
         z = [g for g, c in enumerate(d) if c == k]
         # later keys overwrite earlier ones, so walking d backwards leaves
         # the first g for each c
@@ -395,17 +407,13 @@ def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
 
 
 def normalizer(subset, group: FiniteGroup) -> ElementSet:
-    """All g with g s g^-1 in the standard parabolic on `subset`, for every s there.
+    """N_W(W_I): all x with x^-1 s x in the standard parabolic W_I for every s in I.
 
-    Built once per subset from coset labels, with no word walked.  lab[x] is
-    the least index in the left coset x W_I.  One pass in index order sets
-    it: if some s in I has x s < x, then lab[x] = lab[x s] for the first such
-    s; otherwise x is the minimal coset representative, shorter than every
-    other member, so lab[x] = x.  Then x^-1 s x lies in W_I iff s x W_I =
-    x W_I, and s x W_I = s x s W_I as s is in I, so x^-1 is in N_W(W_I) iff
-    lab[conj[s][x]] == lab[x] for every s in I.  The normalizer is closed
-    under inverses, so the x that pass are N_W(W_I) itself.  The memo keeps
-    the index list, validated once; every call returns a view over it.
+    That is the definition: then x^-1 W_I x lies in W_I and has its size, so
+    it is W_I.  W_I is marked by a BFS from the identity over the steps in
+    I, and each generator's conjugation pass d_s[x] = x^-1 s x filters the
+    indices in turn, which stay ascending, so in ShortLex order.  The memo
+    keeps the index list, validated once; every call returns a view over it.
     """
     subset = frozenset(subset)
     memo = group._normalizer_memo
@@ -413,18 +421,18 @@ def normalizer(subset, group: FiniteGroup) -> ElementSet:
     if members is not None:
         return ElementSet._trusted(group, members)
     gens = group.context._checked_subset(subset)
-    steps, conj = group._steps, group._conj
-    lab = list(range(len(steps)))
-    for x, row in enumerate(steps):
-        for s in gens:
-            y = row[s]
-            if y < x:
-                lab[x] = lab[y]
-                break
-    members = list(range(len(steps)))
+    steps = group._steps
+    inside, frontier = bytearray(len(steps)), [0]
+    inside[0] = 1
+    for x in frontier:
+        for y in map(steps[x].__getitem__, gens):
+            if not inside[y]:
+                inside[y] = 1
+                frontier.append(y)
+    members = range(len(steps))
     for s in gens:
-        table = conj[s]
-        members = [x for x in members if lab[table[x]] == lab[x]]
+        d = group._pass(steps[0][s])
+        members = [x for x in members if inside[d[x]]]
     view = ElementSet(group, members)
     memo[subset] = view.indices
     return view

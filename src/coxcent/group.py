@@ -358,21 +358,21 @@ class CoxeterContext:
         return self._normal_form(self._checked_word(word))
 
     def _checked_generator(self, s: int) -> int:
-        """A generator index handed in at the public edge, which must lie in
-        0..rank-1: a negative one would otherwise wrap around the tables."""
-        if not 0 <= s < self.rank:
-            raise ValueError(f"generator index {s} out of range 0..{self.rank - 1}")
-        return s
+        return self._checked_word((s,))[0]
 
     def _checked_word(self, word) -> tuple:
+        """A word from the public edge: each letter an int in 0..rank-1, as a
+        negative one would wrap around the tables and True would read as 1."""
         word = tuple(word)
+        rank = self.rank
         for s in word:
-            self._checked_generator(s)
+            if type(s) is not int or not 0 <= s < rank:
+                raise ValueError(f"generator index {s} out of range 0..{rank - 1}")
         return word
 
-    def _checked_subset(self, subset) -> list[int]:
+    def _checked_subset(self, subset) -> tuple[int, ...]:
         """A generator subset handed in at the public edge, sorted and checked."""
-        return [self._checked_generator(s) for s in sorted(subset)]
+        return self._checked_word(sorted(subset))
 
     def represents(self, word, element: "GroupElement") -> bool:
         """Whether the product of an arbitrary word is `element`, decided with no sign read.

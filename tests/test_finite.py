@@ -118,10 +118,11 @@ def test_walk_and_inverse_index(group_of):
 
 def test_normalizer_checks_generator_index(monkeypatch):
     group = enumerate_group(CoxeterContext.from_name("A3"))
-    for s in (-1, 3):
-        with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
+    for s in (-1, 3, 1.5, True, 1.0):
+        with pytest.raises(ValueError, match=f"^generator index {s} out of range 0..2$"):
             normalizer({s}, group)
-    assert not group._normalizer_memo
+    # a refused subset builds no conjugation pass and leaves no memo entry
+    assert not group._normalizer_memo and not group._passes
     members = normalizer({2}, group).indices
 
     def unchecked(subset):
@@ -378,6 +379,31 @@ def test_conjugation_table_matches_multiplication(name):
         for s in range(ctx.rank):
             gen = ctx.generator(s)
             assert group[conj[s][x]] == gen * el * gen
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(8)"])
+def test_conjugation_pass_matches_normal_forms(name):
+    # pass_s[g] = g^-1 s g, against the normal form of the word g^-1 s g
+    ctx = CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    for s in range(ctx.rank):
+        pass_s = group._pass(group.walk(0, (s,)))
+        for g, el in enumerate(group):
+            assert group[pass_s[g]] == ctx.element(el.word[::-1] + (s,) + el.word)
+
+
+def test_normalizers_keep_at_most_rank_passes():
+    ctx = CoxeterContext.from_name("D5")
+    group = enumerate_group(ctx)
+    for k in range(ctx.rank + 1):
+        for subset in combinations(range(ctx.rank), k):
+            normalizer(subset, group)
+    assert len(group._normalizer_memo) == 2 ** ctx.rank
+    assert sorted(group._passes) == [group.walk(0, (s,)) for s in range(ctx.rank)]
+    assert all(len(d) == len(group) for d in group._passes.values())
+    # a class rep that is not a generator gets its pass, which is not kept
+    class_centralizer(longest_element(ctx, {0, 1}), group)
+    assert len(group._passes) == ctx.rank
 
 
 @pytest.mark.parametrize("name", ["H3", "B4", "D4", "F4"])

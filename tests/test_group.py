@@ -174,9 +174,12 @@ def test_word_api_checks_generator_index(context_of):
             with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
                 call()
     # a word with several bad letters names the first one in word order, and
-    # a NaN letter, which no comparison holds for, is refused as well
+    # a NaN letter, which no comparison holds for, is refused as well; so are
+    # a float, which would raise TypeError from the tables, and True, which
+    # would be read as generator 1
     for call in (ctx.element, ctx.orbit_key, lambda word: ctx.represents(word, x)):
-        for word, s in (((0, 9, -1), 9), ((0, float("nan"), 1), "nan")):
+        for word, s in (((0, 9, -1), 9), ((0, float("nan"), 1), "nan"), ((0, 1.5), 1.5),
+                        ((True, 1), True), ((0, 1.0), 1.0)):
             with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
                 call(word)
 

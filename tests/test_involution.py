@@ -77,10 +77,12 @@ def test_is_finite_parabolic(context_of):
     assert is_finite_parabolic(i27, (0, 1))
 
 
-@pytest.mark.parametrize("s", [-1, 7])
+@pytest.mark.parametrize("s", [-1, 7, 1.5, True, 1.0])
 def test_subset_functions_check_generator_index(s):
     # a negative index would be read as generator n - 1 (and memoized under
-    # s), one past the rank would raise IndexError from the tables
+    # s), one past the rank would raise IndexError from the tables, True
+    # would be read as generator 1 and a float would raise TypeError or pass
+    # for an int
     ctx = fresh_context("A3")
     for call in (lambda: longest_element(ctx, {s}), lambda: is_minus_one_type(ctx, {0, s}),
                  lambda: is_finite_parabolic(ctx, {s})):
@@ -89,7 +91,7 @@ def test_subset_functions_check_generator_index(s):
     assert not ctx._longest_memo
     affine = fresh_context("Atilde2")
     with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
-        is_finite_parabolic(affine, {0, 1, s})
+        is_finite_parabolic(affine, [0, 1, s])  # a list: the set {0, 1, True} is {0, 1}
 
 
 def test_subset_memo_hits_check_nothing(monkeypatch):
