@@ -4,8 +4,8 @@ For any involution w the library computes a pair (I, u) with u w u^-1 the
 longest element of a (-1)-type standard parabolic W_I, so that
 Z_W(w) = u^-1 N_W(W_I) u.  On finite groups the identity is verified by
 exhaustion, on index tables over the enumerated group: centralizers from one
-pass per conjugacy class, normalizers from coset labels.  All arithmetic is
-exact.
+pass per conjugacy class, normalizers from one conjugation pass per
+generator.  All arithmetic is exact.
 """
 
 from .scalar import AlgebraicScalar, FieldContext, FieldDegreeError

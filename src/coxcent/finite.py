@@ -413,14 +413,14 @@ def normalizer(subset, group: FiniteGroup) -> ElementSet:
     it is W_I.  W_I is marked by a BFS from the identity over the steps in
     I, and each generator's conjugation pass d_s[x] = x^-1 s x filters the
     indices in turn, which stay ascending, so in ShortLex order.  The memo
-    keeps the index list, validated once; every call returns a view over it.
+    keeps the index list; every call checks the subset and returns a view over it.
     """
     subset = frozenset(subset)
+    gens = group.context._checked_subset(subset)  # before the memo: {True} == {1}
     memo = group._normalizer_memo
     members = memo.get(subset)
     if members is not None:
         return ElementSet._trusted(group, members)
-    gens = group.context._checked_subset(subset)
     steps = group._steps
     inside, frontier = bytearray(len(steps)), [0]
     inside[0] = 1

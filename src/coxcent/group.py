@@ -167,7 +167,7 @@ class CoxeterContext:
                     order = order * k // gcd(order, k)
         field = self.field = FieldContext(order)
         self._degree = d = field.degree
-        scalar = int if d == 1 else field.rational
+        scalar = int if d == 1 else lambda c: field.from_coeffs((c,))
         coeff = []
         neighbors = []
         for s in range(n):

@@ -57,11 +57,11 @@ def is_finite_parabolic(ctx: CoxeterContext, subset) -> bool:
     return ctx.order is not None or catalog.is_finite_diagram(ctx.matrix, gens)
 
 
-def _parabolic(ctx: CoxeterContext, subset):
+def _parabolic(ctx: CoxeterContext, key: frozenset):
     """The subset's memo entry, decided once per context: None if W_I is infinite,
     else (word, orbit_key, minus_one) of rho_I, minus_one whether rho_I negates
-    every simple root of I.  A miss checks the subset; a hit checks nothing."""
-    key = frozenset(subset)
+    every simple root of I.  The descent reads its own descent sets here
+    unchecked; a subset from the public edge comes through _checked_parabolic."""
     memo = ctx._longest_memo
     if key not in memo:
         rho = ctx.greedy_longest(key) if is_finite_parabolic(ctx, key) else None
@@ -70,10 +70,18 @@ def _parabolic(ctx: CoxeterContext, subset):
     return memo[key]
 
 
+def _checked_parabolic(ctx: CoxeterContext, subset):
+    """_parabolic of a subset from the public edge, each generator checked before
+    the memo is read, as frozenset({True}) == frozenset({1})."""
+    key = frozenset(subset)
+    ctx._checked_word(key)
+    return _parabolic(ctx, key)
+
+
 def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
     """Longest element of a finite standard parabolic; rejects infinite ones."""
     key = frozenset(subset)
-    entry = _parabolic(ctx, key)
+    entry = _checked_parabolic(ctx, key)
     if entry is None:
         raise ValueError(f"infinite parabolic subgroup on {sorted(s + 1 for s in key)}")
     return GroupElement(ctx, entry[0], entry[1])
@@ -81,7 +89,7 @@ def longest_element(ctx: CoxeterContext, subset) -> GroupElement:
 
 def is_minus_one_type(ctx: CoxeterContext, subset) -> bool:
     """Whether W_I is finite with rho_I negating every simple root of I."""
-    entry = _parabolic(ctx, subset)
+    entry = _checked_parabolic(ctx, subset)
     return entry is not None and entry[2]
 
 
@@ -110,7 +118,7 @@ class InvolutionCertificate(namedtuple("InvolutionCertificate", ("subset", "conj
         if w.context is not ctx:
             raise ValueError("element from a different context")
         u = self.conjugator.word
-        entry = _parabolic(ctx, self.subset)  # None: an infinite W_I has no rho_I
+        entry = _checked_parabolic(ctx, self.subset)  # None: an infinite W_I has no rho_I
         exact = entry is not None and ctx._orbit_key(u + w.word + u[::-1]) == entry[1]
         return {"minus_one_type": entry is not None and entry[2], "conjugation_exact": exact}
 

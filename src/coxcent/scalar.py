@@ -4,26 +4,28 @@ A Coxeter system needs this field only for its bond labels outside
 {2, 3, 4, 6, infinity}; those five take integer Cartan entries
 (group.CoxeterContext).  N is the lcm over the other labels m of m (m odd) or
 m/2 (m even).  A system with none of them has N = 1 and computes over plain
-ints, with no scalar of this module.  A scalar is stored canonically as a
-polynomial in theta of degree < d = deg(min_poly), reduced modulo the minimal
-polynomial of theta, with exact rational coefficients.  Equality and the zero
-test are therefore exact.  A sign is decided by the value at the midpoint of
-a certified enclosure [L/2^e, H/2^e] of theta, kept as the int triple (L, H, e),
-against a mean-value bound (Moore 1966): two integer dot products with a plan
-cached per enclosure, with no Fraction and no float.  The enclosure is bisected
-on the same ints, the minimal polynomial evaluated at each midpoint by one
-integer Horner (_scaled_value), until the test decides, within a number of
-halvings bounded from the coefficients (FieldContext.sign).
+ints, with no scalar of this module.  Every Cartan entry is an algebraic
+integer, so a value is d = deg(min_poly) int coefficients in the power basis
+1, theta, ..., theta^(d-1), reduced modulo the minimal polynomial of theta:
+equal values have equal tuples.  A sign is decided by the value at the
+midpoint of a certified enclosure [L/2^e, H/2^e] of theta, kept as the int
+triple (L, H, e), against a mean-value bound (Moore 1966): two integer dot
+products with a plan cached per enclosure, with no Fraction and no float.
+The enclosure is bisected on the same ints, the minimal polynomial evaluated
+at each midpoint by one integer Horner (_scaled_value), until the test
+decides, within a number of halvings bounded from the coefficients
+(FieldContext.sign).
 
-FieldContext owns the field arithmetic on plain coefficient tuples: the exact
-sign of an int tuple (sign) and the products with powers of theta, reduced
-modulo the minimal polynomial (multiples).  One step, _shift_fold, multiplies
-by theta and folds the theta^d term back; multiples and from_coeffs (Horner
-in theta) are its only callers, so the field has one reduction.
-group.CoxeterContext calls sign and multiples on its flat int vectors with
-no scalar object built; AlgebraicScalar is the value at the public edge, and
-calls into its field for * and sign.  theta_enclosure reports the current
-enclosure of theta, and refine_theta narrows it.
+FieldContext owns the field arithmetic on int tuples: the exact sign (sign)
+and the products with powers of theta, reduced modulo the minimal polynomial
+(multiples).  One step, _shift_fold, multiplies by theta and folds the
+theta^d term back; multiples and from_coeffs (Horner in theta) are its only
+callers, so the field has one reduction.  group.CoxeterContext calls sign
+and multiples on its flat int vectors with no scalar object built.
+AlgebraicScalar is the public value of a Cartan entry in action_coeff at
+degree 2 and up: its coefficients, + and * within its field (the
+realization forms 2 + 2cos(pi/k)), equality and the sign.  theta_enclosure
+reports the current enclosure of theta, and refine_theta narrows it.
 
 The minimal polynomial is obtained from the cyclotomic polynomial of order 2N:
 with z on the unit circle and y = z + 1/z, a palindromic Phi_{2N}(z) of degree
@@ -35,7 +37,7 @@ satisfy D_i(2cos x) = 2cos(ix)).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, isqrt, lcm, pi
+from math import cos, isqrt, pi
 from operator import mul
 
 # Largest field degree a FieldContext accepts.  Labels (7, 11, 13) need degree
@@ -44,14 +46,6 @@ MAX_FIELD_DEGREE = 128
 # euler_phi factors by trial division, so it is not asked about larger orders;
 # since phi(n) >= sqrt(n/2), their degree is at least sqrt(N)/2, far over the limit.
 _FACTORED_ORDER_LIMIT = 1 << 32
-
-
-def _norm(value) -> "int | Fraction":
-    # coefficients are stored as plain ints whenever integral (the common case:
-    # all reflection coefficients are algebraic integers); int and Fraction
-    # compare and hash identically, so vectors stay canonical
-    q = Fraction(value)
-    return q.numerator if q.denominator == 1 else q
 
 
 def euler_phi(n: int) -> int:
@@ -230,7 +224,7 @@ class FieldContext:
     rejected with FieldDegreeError before any polynomial is built.
     """
 
-    __slots__ = ("order", "min_poly", "degree", "zero", "one", "theta", "_interval", "_plan")
+    __slots__ = ("order", "min_poly", "degree", "_interval", "_plan")
 
     def __init__(self, order: int):
         if order > _FACTORED_ORDER_LIMIT:
@@ -240,11 +234,7 @@ class FieldContext:
             raise FieldDegreeError(order, degree)
         self.order = order
         self.min_poly = two_cos_minimal_poly(order)
-        d = len(self.min_poly) - 1
-        self.degree = d
-        self.zero = AlgebraicScalar(self, (0,) * d)
-        self.one = self.rational(1)
-        self.theta = self.from_coeffs((0, 1))
+        self.degree = len(self.min_poly) - 1
         self._interval = self._initial_interval()
         self._plan = (None,)  # _midpoint_plan of the enclosure it names
 
@@ -290,7 +280,7 @@ class FieldContext:
         enclosure is read once per attempt and a plan names its own, so a
         concurrent narrowing is never half seen.
 
-        The narrowing is bounded.  The cleared value p(theta) = sum c_k theta^k
+        The narrowing is bounded.  The value p(theta) = sum c_k theta^k
         is a nonzero algebraic integer of degree d (deg p < d), and every
         conjugate 2cos(j*pi/N) of theta lies in [-2, 2], so every conjugate of
         p(theta) is at most B = sum |c_k| 2^k in absolute value.  Their product,
@@ -302,7 +292,7 @@ class FieldContext:
         |p(theta)| below its bound, so the test decides; undecided after
         that many halvings is an ArithmeticError.
         """
-        if not any(coeffs[1:]):  # rational, and zero exactly when coeffs[0] is
+        if not any(coeffs[1:]):  # an int, and zero exactly when coeffs[0] is
             c = coeffs[0]
             return (c > 0) - (c < 0)
         budget = None  # halvings left before the test must decide
@@ -337,44 +327,32 @@ class FieldContext:
             column = _shift_fold(column, 0, self.min_poly)
             yield column
 
-    def rational(self, value) -> "AlgebraicScalar":
-        coeffs = [0] * self.degree
-        coeffs[0] = _norm(value)
-        return AlgebraicScalar(self, tuple(coeffs))
-
     def from_coeffs(self, coeffs) -> "AlgebraicScalar":
-        """Scalar from power-basis coefficients of any length, by Horner in theta:
-        each step is one _shift_fold, the reduction that multiples uses."""
+        """Scalar from int power-basis coefficients of any length, by Horner in
+        theta: each step is one _shift_fold, the reduction that multiples uses."""
         column = (0,) * self.degree
         for c in reversed(coeffs):
-            column = _shift_fold(column, _norm(c), self.min_poly)
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be ints, got {c!r}")
+            column = _shift_fold(column, c, self.min_poly)
         return AlgebraicScalar(self, column)
 
-    def two_cos(self, label: int) -> "AlgebraicScalar":
-        """The exact value 2cos(pi/m) for bond label m; label 0 encodes m = infinity."""
-        if label == 0:
-            return self.rational(2)
-        if label == 2:
-            return self.zero
-        if label < 2:
-            raise ValueError(f"invalid bond label {label}")
-        if self.order % label:
-            raise ValueError(f"label {label} does not divide field order {self.order}")
-        k = self.order // label
-        dick = dickson_polynomials(k)[k]
-        return self.from_coeffs(dick)
+    def two_cos(self, k: int) -> "AlgebraicScalar":
+        """The exact value 2cos(pi/k) for k dividing the order N: the Dickson
+        polynomial D_(N/k) at theta, as D_j(2cos x) = 2cos(jx)."""
+        if k < 1 or self.order % k:
+            raise ValueError(f"{k} does not divide the field order {self.order}")
+        j = self.order // k
+        return self.from_coeffs(dickson_polynomials(j)[j])
 
     def __repr__(self):
         return f"FieldContext(2cos(pi/{self.order}), degree {self.degree})"
 
 
 class AlgebraicScalar:
-    """Immutable element of Q(theta_N): canonical coefficient vector of length d.
-
-    Two scalars are equal iff their vectors are equal; the all-zero vector is
-    the unique zero.  Supports +, -, * (no division is ever needed) and exact
-    sign determination.
-    """
+    """Immutable element of Q(theta_N): its d int coefficients, reduced, so
+    equal values have equal vectors.  The public value of a Cartan entry;
+    + and * take scalars of the same field and ints."""
 
     __slots__ = ("field", "coeffs", "_sign")
 
@@ -388,8 +366,8 @@ class AlgebraicScalar:
             if other.field is not self.field:
                 raise ValueError("scalars from different field contexts")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
+        if isinstance(other, int):
+            return self.field.from_coeffs((other,))
         return None
 
     def __add__(self, other):
@@ -402,91 +380,31 @@ class AlgebraicScalar:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return AlgebraicScalar(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return AlgebraicScalar(self.field, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
+        """a*b = sum a_i (b theta^i), the columns b theta^i from the field's multiples."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a = self.coeffs
-        top = len(a)
-        while top and not a[top - 1]:
-            top -= 1
-        # a*b = sum a_i (b theta^i); the columns past a's last nonzero coefficient are never built
-        out = [0] * len(a)
-        for ai, column in zip(a[:top], self.field.multiples(other.coeffs)):
-            if ai:
-                for k, c in enumerate(column):
-                    out[k] += ai * c
-        return AlgebraicScalar(self.field, tuple(out))
+        out = (0,) * self.field.degree
+        for a, column in zip(self.coeffs, self.field.multiples(other.coeffs)):
+            out = tuple(o + a * c for o, c in zip(out, column))
+        return AlgebraicScalar(self.field, out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicScalar):
             return self.field is other.field and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
         return NotImplemented
 
     def __hash__(self):
-        # a rational scalar equals its int or Fraction value, so it hashes like it
-        coeffs = self.coeffs
-        return hash(coeffs) if any(coeffs[1:]) else hash(coeffs[0])
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return hash(self.coeffs)
 
     def sign(self) -> int:
-        """-1, 0 or +1: the coefficients are cleared of denominators by their
-        positive lcm, and the field decides the sign of the ints exactly."""
-        s = self._sign
-        if s is None:
-            coeffs = self.coeffs
-            den = lcm(*[c.denominator for c in coeffs])
-            if den != 1:
-                coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
-            s = self._sign = self.field.sign(coeffs)
-        return s
-
-    def to_float(self) -> float:
-        x = 2.0 * cos(pi / self.field.order)
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+        """-1, 0 or +1, decided exactly by the field and kept."""
+        if self._sign is None:
+            self._sign = self.field.sign(self.coeffs)
+        return self._sign
 
     def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                power = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    terms.append(power)
-                elif c == -1:
-                    terms.append(f"-{power}")
-                else:
-                    terms.append(f"{c}*{power}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        return f"AlgebraicScalar({self.coeffs} in Q(2cos(pi/{self.field.order})))"

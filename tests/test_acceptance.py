@@ -9,7 +9,6 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import mpmath
 
@@ -25,7 +24,7 @@ from coxcent import (
     verify_centralizer_is_normalizer,
 )
 from coxcent.scalar import dickson_polynomials
-from roots import neg
+from roots import Ring, neg
 
 mpmath.mp.dps = 60
 
@@ -196,25 +195,27 @@ def test_criterion_8_cli_determinism():
 
 
 def test_criterion_9_scalar_soundness():
+    # ring laws on int coefficients, each product also against the test ring,
+    # which reduces by long division and shares no code with coxcent.scalar
     rng = random.Random(13)
     ring_checks = 0
     for order in (4, 5, 6, 12):
         field = FieldContext(order)
+        ring = Ring(field.min_poly)
         d = field.degree
         for _ in range(125):
-            a, b, c = (
-                field.from_coeffs(
-                    [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(d)]
-                )
-                for _ in range(3)
-            )
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            a, b, c = (field.from_coeffs([rng.randint(-9, 9) for _ in range(d)]) for _ in range(3))
+            ab, bc = a * b, b * c
+            assert ab * c == a * bc
+            assert a * (b + c) == ab + a * c
+            for x, y in ((a, b), (b, c), (ab, c), (a, bc), (a, b + c), (a, c)):
+                assert (x * y).coeffs == ring.mul(x.coeffs, y.coeffs)
             ring_checks += 2
         dick = dickson_polynomials(2 * order)
         for k in range(1, order + 1):
             half = field.from_coeffs(dick[k])
-            assert field.from_coeffs(dick[2 * k]) == half * half - 2
+            assert field.from_coeffs(dick[2 * k]) == half * half + (-2)
+            assert (half * half).coeffs == ring.mul(half.coeffs, half.coeffs)
             ring_checks += 1
     assert ring_checks >= 1000
 
@@ -231,7 +232,7 @@ def test_criterion_9_scalar_soundness():
             for coefficient in reversed(a.coeffs):
                 numeric = numeric * x + coefficient
             assert abs(numeric) > mpmath.mpf(10) ** -40
-            assert a.sign() == (1 if numeric > 0 else -1)
+            assert a.sign() == field.sign(a.coeffs) == (1 if numeric > 0 else -1)
             sign_checks += 1
     assert sign_checks >= 1000
     report(9, "scalar soundness", f" [{ring_checks} ring, {sign_checks} sign checks]")

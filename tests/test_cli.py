@@ -177,6 +177,19 @@ def test_matrix_file_invalid(tmp_path):
 
 
 @pytest.mark.parametrize("doc,shown", [
+    ({"rank": 3, "m": [[1, 3], [3, 1]]}, "matrix has 2 rows, declared rank 3"),
+    ({"rank": 1, "m": [[1, 3], [3, 1]]}, "matrix has 2 rows, declared rank 1"),
+], ids=["rank-over-rows", "rank-under-rows"])
+def test_matrix_file_rank_must_match_its_rows(tmp_path, doc, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run("reduce", "--matrix", str(path), "--word", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert shown in proc.stderr
+
+
+@pytest.mark.parametrize("doc,shown", [
     ({"rank": 2, "m": [[1, 3.9], [3.9, 1]]}, "3.9"),
     ({"rank": 2, "m": [[1, True], [True, 1]]}, "True"),
     ({"rank": 2, "m": [[1, "4"], ["4", 1]]}, "'4'"),
@@ -198,6 +211,14 @@ def test_type_with_field_degree_over_limit_is_usage_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "degree 500001" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["I2(1)", "I2(0)"])
+def test_type_dihedral_label_under_two_is_usage_error(name):
+    proc = run("reduce", "--type", name, "--word", "1 2 1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "I2(m) needs m >= 2" in proc.stderr
 
 
 def test_type_with_rank_over_limit_is_usage_error():

@@ -116,20 +116,19 @@ def test_walk_and_inverse_index(group_of):
         assert group[group._inv[i]] == a.inverse()
 
 
-def test_normalizer_checks_generator_index(monkeypatch):
+def test_normalizer_checks_generator_index():
     group = enumerate_group(CoxeterContext.from_name("A3"))
     for s in (-1, 3, 1.5, True, 1.0):
         with pytest.raises(ValueError, match=f"^generator index {s} out of range 0..2$"):
             normalizer({s}, group)
     # a refused subset builds no conjugation pass and leaves no memo entry
     assert not group._normalizer_memo and not group._passes
-    members = normalizer({2}, group).indices
-
-    def unchecked(subset):
-        raise AssertionError("a memo hit checked its subset")
-
-    monkeypatch.setattr(group.context, "_checked_subset", unchecked)
-    assert normalizer({2}, group).indices == members
+    members = normalizer({1}, group).indices
+    assert normalizer({1}, group).indices is members  # the memo's list
+    # {True} == {1} as sets, and is still refused once {1} is in the memo
+    for s in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^generator index {s} out of range 0..2$"):
+            normalizer({s}, group)
 
 
 def test_group_indexing(group_of):

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from coxcent import AlgebraicScalar, CoxeterContext, word_from_string, word_to_string
-from roots import mp_sign, neg, root_sign
+from coxcent import CoxeterContext, word_from_string, word_to_string
+from roots import Ring, mp_sign, neg, root_sign
 
 
 def el(ctx, text):
@@ -60,8 +60,9 @@ def test_act_and_reflect_take_flat_int_tuples(context_of):
             with pytest.raises(ValueError, match="tuple of"):
                 w.act(root)
     h3 = context_of("H3")
+    one, zero = h3.field.from_coeffs((1,)), h3.field.from_coeffs((0,))
     with pytest.raises(ValueError):
-        h3.reflect(0, (h3.field.one, h3.field.zero, h3.field.zero))
+        h3.reflect(0, (one, zero, zero))
     assert h3.reflect(0, h3.simple_root(0)) == neg(h3.simple_root(0))
 
 
@@ -119,19 +120,21 @@ def test_is_positive_and_mixed_signs(context_of):
         root_sign(ctx, (0, 0))
 
 
-def test_is_positive_reads_exact_signs_of_fraction_coordinates():
+def test_is_positive_reads_exact_signs_of_near_zero_coordinates():
     # phi*F_n - F_(n+1) = -(-1/phi)^n is too near zero for the seed interval of
-    # theta = phi, so the sign refines theta; a third of it has Fraction
-    # coefficients, which the halving budget needs cleared to ints
+    # theta = phi, so the sign refines theta; the scalar's sign, its multiples'
+    # and the int tuple read of the group's coordinates agree, and a second
+    # read of x comes from its cache
     ctx = CoxeterContext.from_name("H3")
-    theta = ctx.field.theta
+    theta = ctx.field.from_coeffs((0, 1))
     fib = [0, 1]
     while len(fib) < 33:
         fib.append(fib[-1] + fib[-2])
     for n in (30, 31):
-        x = (theta * fib[n] - fib[n + 1]) * Fraction(1, 3)
+        x = theta * fib[n] + (-fib[n + 1])
         expected = 1 if n % 2 == 1 else -1
-        assert [c.sign() for c in (x, 2 * x, x)] == [expected] * 3
+        assert [c.sign() for c in (x, 3 * x, x)] == [expected] * 3
+        assert ctx.field.sign(x.coeffs) == expected
 
 
 @pytest.mark.parametrize("matrix,message", [
@@ -182,6 +185,17 @@ def test_word_api_checks_generator_index(context_of):
                         ((True, 1), True), ((0, 1.0), 1.0)):
             with pytest.raises(ValueError, match=f"generator index {s} out of range 0..2"):
                 call(word)
+
+
+def test_represents_refuses_an_element_of_another_context(context_of):
+    # an equal matrix is not the same context: orbit vectors of two contexts
+    # are never compared, whether or not they would match
+    ctx = context_of("A3")
+    other = CoxeterContext.from_name("A3")
+    for x in (other.element((2,)), other.identity()):
+        with pytest.raises(ValueError, match="element from a different context"):
+            ctx.represents(x.word, x)
+    assert ctx.represents((2,), ctx.element((2,)))
 
 
 @pytest.mark.parametrize("name", ["A3", "H3"])
@@ -354,23 +368,26 @@ def test_word_string_roundtrip():
 
 
 class ScalarWalk:
-    """Test oracle: the weight and root reflections on AlgebraicScalar (or int)
-    coordinates, read from the public action_coeff, with no flat table; signs
-    come from mpmath, not from the field's sign kernel."""
+    """Test oracle: the weight and root reflections one coordinate at a time,
+    each coordinate a tuple of d ints, read from the public action_coeff with
+    no flat table; products come from the test ring (tests/roots.py) and
+    signs from mpmath, with no arithmetic of coxcent.scalar."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.n = ctx.rank
-        self.one = 1 if ctx.field.degree == 1 else ctx.field.one
-        self.zero = 0 if ctx.field.degree == 1 else ctx.field.zero
+        self.ring = Ring(ctx.field.min_poly)
+        self.one, self.zero = self.ring.of(1), self.ring.of(0)
+        self.cartan = [[(a,) if type(a) is int else a.coeffs for a in row]
+                       for row in ctx.action_coeff]
 
     def reflect_weights(self, v, s):
         """(s*v)_s = -v_s and (s*v)_t = v_t + a_st*v_s, in place."""
-        x = v[s]
+        ring, x = self.ring, v[s]
         for t in range(self.n):
             if t != s:
-                v[t] = v[t] + self.ctx.action_coeff[s][t] * x
-        v[s] = -x
+                v[t] = ring.add(v[t], ring.mul(self.cartan[s][t], x))
+        v[s] = ring.scale(-1, x)
 
     def orbit(self, word):
         """w(rho) for w the product of the word."""
@@ -380,22 +397,20 @@ class ScalarWalk:
         return v
 
     def act(self, word, coords):
-        g = list(coords)
+        ring, g = self.ring, list(coords)
         for s in reversed(word):
-            acc = -g[s]
+            acc = ring.scale(-1, g[s])
             for t in range(self.n):
                 if t != s:
-                    acc = acc + self.ctx.action_coeff[s][t] * g[t]
+                    acc = ring.add(acc, ring.mul(self.cartan[s][t], g[t]))
             g[s] = acc
         return tuple(g)
 
     def sign(self, x):
-        if isinstance(x, AlgebraicScalar):
-            return mp_sign(x.coeffs, self.ctx.field.order)
-        return (x > 0) - (x < 0)
+        return mp_sign(x, self.ctx.field.order)
 
     def flat(self, v):
-        return tuple(c for x in v for c in (x.coeffs if isinstance(x, AlgebraicScalar) else (x,)))
+        return tuple(c for x in v for c in x)
 
     def normal_form(self, word):
         v, out = self.orbit(word), []
@@ -433,7 +448,7 @@ def test_flat_vectors_match_scalar_walk(system):
         assert all(type(c) is int for c in key)
         for t in range(ctx.rank):
             assert ctx._coord_sign(key, t) == oracle.sign(inverse_orbit[t])
-            assert ctx._is_minus_one(key, t) == (inverse_orbit[t] == -1)
+            assert ctx._is_minus_one(key, t) == (inverse_orbit[t] == oracle.ring.of(-1))
         w = ctx.element(word)
         assert w.word == oracle.normal_form(word)
         assert w.orbit_key() == key
@@ -463,8 +478,7 @@ def test_reflection_tables_match_textbook_formula(system):
             zero_block = rng.random() < 0.25
             flat += [0 if zero_block or rng.random() < 0.3 else rng.randint(-99, 99)
                      for _ in range(d)]
-        coords = [flat[t] if d == 1 else ctx.field.from_coeffs(flat[t * d:(t + 1) * d])
-                  for t in range(n)]
+        coords = [tuple(flat[t * d:(t + 1) * d]) for t in range(n)]
         for s in range(n):
             weights = list(coords)
             oracle.reflect_weights(weights, s)

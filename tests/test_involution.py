@@ -7,6 +7,7 @@ import pytest
 from coxcent import (
     CoxeterContext,
     InvolutionCertificate,
+    enumerate_group,
     involution_certificate,
     involutions,
     is_finite_parabolic,
@@ -14,6 +15,7 @@ from coxcent import (
     is_minus_one_type,
     longest_element,
     negated_simples,
+    normalizer,
     word_from_string,
     word_to_string,
 )
@@ -94,15 +96,34 @@ def test_subset_functions_check_generator_index(s):
         is_finite_parabolic(affine, [0, 1, s])  # a list: the set {0, 1, True} is {0, 1}
 
 
-def test_subset_memo_hits_check_nothing(monkeypatch):
+def test_subset_memo_hits_classify_nothing(monkeypatch):
+    # a hit checks its generators in one loop, with no sort, and decides nothing again
     ctx = fresh_context("A3")
     rho, minus = longest_element(ctx, {0, 2}), is_minus_one_type(ctx, {0, 2})
 
-    def unchecked(subset):
-        raise AssertionError("a memo hit checked its subset")
+    def unexpected(*args):
+        raise AssertionError("a memo hit sorted or classified its subset")
 
-    monkeypatch.setattr(ctx, "_checked_subset", unchecked)
+    monkeypatch.setattr(ctx, "_checked_subset", unexpected)
+    monkeypatch.setattr(ctx, "greedy_longest", unexpected)
     assert longest_element(ctx, {0, 2}) == rho and is_minus_one_type(ctx, {0, 2}) == minus
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-1"])
+def test_subset_is_checked_before_its_memo_is_read(warm):
+    # frozenset({True}) == frozenset({1}): were a subset checked only on a memo
+    # miss, {True} would read the entry of {1} once {1} had been asked
+    ctx = fresh_context("A3")
+    group = enumerate_group(ctx)
+    if warm:
+        longest_element(ctx, {1})
+        normalizer({1}, group)
+    cert = InvolutionCertificate(frozenset({True}), ctx.identity(), ())
+    for call in (lambda: longest_element(ctx, {True}), lambda: is_minus_one_type(ctx, {True}),
+                 lambda: cert.checks(ctx.generator(1)), lambda: normalizer({True}, group)):
+        with pytest.raises(ValueError, match="^generator index True out of range 0..2$"):
+            call()
+    assert set(ctx._longest_memo) == ({frozenset({1})} if warm else set())
 
 
 def test_finite_group_never_classifies_a_parabolic(monkeypatch, capsys):

@@ -20,13 +20,11 @@ import random
 from math import lcm
 
 import pytest
-from roots import mp_sign, neg
+from roots import Ring, mp_sign, neg
 from test_group import action_matrix_oracle
 
 from coxcent import (
-    AlgebraicScalar,
     CoxeterContext,
-    FieldContext,
     InvolutionCertificate,
     catalog,
     enumerate_group,
@@ -36,6 +34,7 @@ from coxcent import (
     longest_element,
     negated_simples,
 )
+from coxcent.scalar import two_cos_minimal_poly
 
 LABELS = (2, 3, 4, 6, 0)  # 0 encodes an infinite bond
 MATRICES = 30
@@ -135,33 +134,40 @@ def test_exact_decisions_match_normal_forms(system):
 
 
 class SymmetricRealization:
-    """Test oracle: the symmetric 2cos(pi/m) matrix over Q(2cos(pi/lcm of all labels)).
+    """Test oracle: the symmetric 2cos(pi/m) matrix over Q(2cos(pi/L)), L the lcm of all labels.
 
     Normal forms peel the least left descent off w(rho); nothing is shared with
-    the Cartan matrix of CoxeterContext but the Coxeter matrix, and signs come
-    from mpmath, not from the field's sign kernel.
+    the Cartan matrix of CoxeterContext but the Coxeter matrix.  Values are
+    int tuples of the test ring (tests/roots.py), 2cos(pi/m) = D_(L/m)(theta)
+    comes from the Dickson recurrence D_(i+1) = theta D_i - D_(i-1) in that
+    ring, and signs come from mpmath: no arithmetic of coxcent.scalar.
     """
 
     def __init__(self, matrix):
-        finite = [m for row in matrix for m in row if m >= 3]
-        self.field = FieldContext(lcm(1, *finite))
-        # the diagonal label 1 is never read; 2 stands in for it
-        self.two_cos = [[self.field.two_cos(m if m != 1 else 2) for m in row] for row in matrix]
+        self.order = lcm(1, *[m for row in matrix for m in row if m >= 3])
+        ring = self.ring = Ring(two_cos_minimal_poly(self.order))
+        dickson = [ring.of(2), ring.of(0, 1)]
+        while len(dickson) <= self.order:
+            dickson.append(ring.add(ring.mul(dickson[1], dickson[-1]), ring.scale(-1, dickson[-2])))
+        self.dickson = dickson
+        # label 0 is an infinite bond, 2cos(0) = 2; the diagonal label 1 is never read
+        self.two_cos = [[ring.of(2) if m == 0 else ring.of(0) if m in (1, 2)
+                         else self.dickson[self.order // m] for m in row] for row in matrix]
         self.rank = len(matrix)
 
     def orbit(self, word):
         """w(rho) for w the product of the word."""
-        v = [self.field.one] * self.rank
+        v = [self.ring.of(1)] * self.rank
         for s in reversed(word):
             self.reflect(v, s)
         return v
 
     def reflect(self, v, s):
-        x = v[s]
+        ring, x = self.ring, v[s]
         for t in range(self.rank):
             if t != s:
-                v[t] = v[t] + self.two_cos[s][t] * x
-        v[s] = -x
+                v[t] = ring.add(v[t], ring.mul(self.two_cos[s][t], x))
+        v[s] = ring.scale(-1, x)
 
     def normal_form(self, word):
         v, out = self.orbit(word), []
@@ -174,16 +180,16 @@ class SymmetricRealization:
         return frozenset(t for t in range(self.rank) if self.negative(v[t]))
 
     def negative(self, x):
-        return mp_sign(x.coeffs, self.field.order) < 0
+        return mp_sign(x, self.order) < 0
 
     def embed(self, x, field):
-        """An int, or a scalar of a subfield Q(2cos(pi/N)), as a scalar of this field."""
-        if not isinstance(x, AlgebraicScalar):
-            return self.field.rational(x)
-        theta = self.field.two_cos(field.order)
-        acc = self.field.zero
-        for c in reversed(x.coeffs):
-            acc = acc * theta + c
+        """A Cartan entry of a context over the subfield Q(2cos(pi/N)), N | L,
+        as a value of this ring: Horner at 2cos(pi/N) = D_(L/N)(theta)."""
+        ring = self.ring
+        theta = self.dickson[self.order // field.order]
+        acc = ring.of(0)
+        for c in reversed((x,) if type(x) is int else x.coeffs):
+            acc = ring.add(ring.mul(acc, theta), ring.of(c))
         return acc
 
 
@@ -217,9 +223,9 @@ def test_cartan_realization_matches_symmetric_oracle(system):
     for s in range(n):
         for t in range(n):
             if s != t:
-                product = (oracle.embed(ctx.action_coeff[s][t], ctx.field)
-                           * oracle.embed(ctx.action_coeff[t][s], ctx.field))
-                assert product == oracle.two_cos[s][t] * oracle.two_cos[s][t]
+                product = oracle.ring.mul(oracle.embed(ctx.action_coeff[s][t], ctx.field),
+                                          oracle.embed(ctx.action_coeff[t][s], ctx.field))
+                assert product == oracle.ring.mul(oracle.two_cos[s][t], oracle.two_cos[s][t])
     if ctx.field.degree == 1:
         assert all(type(a) is int for row in ctx.action_coeff for a in row)
     rng = random.Random(f"realization-{system}")

@@ -8,7 +8,7 @@ from time import perf_counter
 
 import mpmath
 import pytest
-from roots import mp_sign
+from roots import Ring, mp_sign
 
 from coxcent import CoxeterContext, scalar
 from coxcent.scalar import (
@@ -29,14 +29,11 @@ def theta_numeric(order):
     return 2 * mpmath.cos(mpmath.pi / order)
 
 
-def eval_numeric(scalar):
-    x = theta_numeric(scalar.field.order)
+def eval_numeric(coeffs, order):
+    x = theta_numeric(order)
     acc = mpmath.mpf(0)
-    for c in reversed(scalar.coeffs):
-        if isinstance(c, Fraction):
-            acc = acc * x + mpmath.mpf(c.numerator) / c.denominator
-        else:
-            acc = acc * x + c
+    for c in reversed(coeffs):
+        acc = acc * x + c
     return acc
 
 
@@ -156,7 +153,7 @@ def test_field_from_matrix_orders():
                    [[1, 3, 2], [3, 1, 4], [2, 4, 1]],   # B3: mixed {3, 4}
                    [[1, 2], [2, 1]]):                   # no bonds at all
         f = CoxeterContext(matrix).field
-        assert f.order == 1 and f.degree == 1 and f.theta == -2
+        assert f.order == 1 and f.degree == 1 and f.min_poly == (2, 1)  # theta + 2
     # an odd label m brings 2cos(pi/m): N = 5, the golden ratio
     f = CoxeterContext([[1, 5], [5, 1]]).field
     assert f.order == 5 and f.min_poly == (-1, -1, 1) and f.degree == 2
@@ -165,19 +162,27 @@ def test_field_from_matrix_orders():
     assert f.order == 4 and f.min_poly == (-2, 0, 1) and f.degree == 2
 
 
-def test_rational_scalars_hash_like_their_values():
-    # a rational scalar == its int or Fraction value, so the two must hash alike
+def test_equal_scalars_hash_alike():
+    # a scalar is its reduced int tuple: equal values, however built, are one
+    # set member; a scalar never equals an int, nor a scalar of another field
     for order, degree in ((1, 1), (5, 2), (12, 4), (35, 12)):
         f = FieldContext(order)
         assert f.degree == degree
-        for value in (0, 1, -1, 2, -7, Fraction(1, 2), Fraction(-3, 4), Fraction(6, 3)):
-            a = f.rational(value)
-            assert a == value and hash(a) == hash(value)
-            assert len({a, value}) == 1
-        assert len({f.one, 1, Fraction(1), f.rational(1)}) == 1
-        assert {f.zero: "zero"}[0] == "zero"
+        for value in (0, 1, -1, 2, -7):
+            a = f.from_coeffs((value,))
+            b = f.from_coeffs((value,) + (0,) * (2 * degree))
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+            assert a.coeffs == (value,) + (0,) * (degree - 1)
+            assert a != value and a != FieldContext(order).from_coeffs((value,))
+        one = f.from_coeffs((1,))
+        assert {one: "one"}[f.from_coeffs((1,)) * one] == "one"
         if degree > 1:
-            assert f.theta not in {0, 1, -1, 2, -2}
+            theta = f.from_coeffs((0, 1))
+            assert theta not in {f.from_coeffs((c,)) for c in (0, 1, -1, 2, -2)}
+    with pytest.raises(ValueError, match="must be ints"):
+        FieldContext(5).from_coeffs((Fraction(1, 2), 0))
+    with pytest.raises(ValueError, match="must be ints"):
+        FieldContext(5).from_coeffs((1.0,))
 
 
 def _admitted_orders():
@@ -224,52 +229,57 @@ def _mp(q):
 
 def test_two_cos_values():
     f12 = FieldContext(12)
-    assert f12.two_cos(2) == f12.zero
-    assert f12.two_cos(0) == f12.rational(2)  # label 0 encodes infinity
+    assert f12.two_cos(2).coeffs == (0, 0, 0, 0)
+    assert f12.two_cos(1).coeffs == (-2, 0, 0, 0)
     root2 = f12.two_cos(4)
     assert root2.coeffs == (0, -3, 0, 1)  # theta^3 - 3 theta
-    assert abs(eval_numeric(root2) - mpmath.sqrt(2)) < mpmath.mpf(10) ** -40
-    assert root2 * root2 == 2
-    with pytest.raises(ValueError):
-        f12.two_cos(5)  # 5 does not divide 12
+    assert abs(eval_numeric(root2.coeffs, 12) - mpmath.sqrt(2)) < mpmath.mpf(10) ** -40
+    assert root2 * root2 == f12.from_coeffs((2,))
+    for k in (5, 0, -3):  # 5 does not divide 12; no label code is read
+        with pytest.raises(ValueError, match="does not divide"):
+            f12.two_cos(k)
     f4 = FieldContext(4)
-    assert f4.two_cos(4) * f4.two_cos(4) == 2
+    assert f4.two_cos(4) * f4.two_cos(4) == f4.from_coeffs((2,))
 
 
 def test_ring_identities_and_canonical_form():
     f = FieldContext(12)
-    theta = f.theta
-    a = theta * theta - f.rational(3)
-    assert a + f.zero == a
+    ring = Ring(f.min_poly)
+    theta = f.from_coeffs((0, 1))
+    a = theta * theta + (-3)
+    assert a.coeffs == ring.of(-3, 0, 1)
+    assert a + 0 == a == 0 + a
     assert f.from_coeffs(a.coeffs) == a  # reduction of a reduced vector is identity
     # reduction of high powers: theta^4 = 4 theta^2 - 1, theta^8 = (theta^4)^2
     theta4 = f.from_coeffs([0, 0, 0, 0, 1])
-    assert theta4 == 4 * theta * theta - 1
+    assert theta4.coeffs == ring.of(0, 0, 0, 0, 1) == (-1, 0, 4, 0)
+    assert theta4 == 4 * theta * theta + (-1)
     assert f.from_coeffs([0] * 8 + [1]) == theta4 * theta4
+    assert (theta4 * theta4).coeffs == ring.mul(theta4.coeffs, theta4.coeffs)
 
 
 def test_signs():
     f = FieldContext(4)
-    root2 = f.theta
-    assert f.zero.sign() == 0
-    assert (root2 - 1).sign() == 1
-    assert (1 - root2).sign() == -1
-    assert (root2 * root2 - 2).sign() == 0
+    root2 = f.from_coeffs((0, 1))
+    assert f.from_coeffs((0,)).sign() == 0
+    assert (root2 + (-1)).sign() == 1
+    assert (-1 * root2 + 1).sign() == -1
+    assert (root2 * root2 + (-2)).sign() == 0
     f1 = FieldContext(1)
-    assert f1.theta.sign() == -1  # theta_1 = -2
+    assert f1.from_coeffs((0, 1)).sign() == -1  # theta_1 = -2
 
 
 def test_sign_multiplicative_random():
     rng = random.Random(20260808)
     for order in (4, 5, 6, 12):
         f = FieldContext(order)
+        ring = Ring(f.min_poly)
         for _ in range(120):
-            a = f.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                               for _ in range(f.degree)])
-            b = f.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                               for _ in range(f.degree)])
+            a = f.from_coeffs([rng.randint(-9, 9) for _ in range(f.degree)])
+            b = f.from_coeffs([rng.randint(-9, 9) for _ in range(f.degree)])
+            assert (a * b).coeffs == ring.mul(a.coeffs, b.coeffs)
             assert (a * b).sign() == a.sign() * b.sign()
-            assert (a.sign() == 0) == a.is_zero()
+            assert (a.sign() == 0) == (not any(a.coeffs))
 
 
 def test_dickson_half_angle_exact():
@@ -277,10 +287,12 @@ def test_dickson_half_angle_exact():
     for order in (4, 6, 12, 15):
         f = FieldContext(order)
         polys = dickson_polynomials(2 * order)
+        ring = Ring(f.min_poly)
         for k in range(1, order + 1):
             lhs = f.from_coeffs(polys[2 * k])
             rhs = f.from_coeffs(polys[k])
-            assert lhs == rhs * rhs - 2
+            assert lhs == rhs * rhs + (-2)
+            assert lhs.coeffs == ring.add(ring.mul(rhs.coeffs, rhs.coeffs), ring.of(-2))
 
 
 def test_interval_contains_float_evaluation():
@@ -289,10 +301,14 @@ def test_interval_contains_float_evaluation():
     rng = random.Random(7)
     for order in (4, 5, 6, 12):
         f = FieldContext(order)
+        x = 2.0 * cos(pi / order)
         lo, hi = _narrowed(f, Fraction(1, 10**12))
         for _ in range(250):
             a = f.from_coeffs([rng.randint(-50, 50) for _ in range(f.degree)])
-            value = Fraction(a.to_float())
+            value = 0.0
+            for c in reversed(a.coeffs):
+                value = value * x + c
+            value = Fraction(value)
             plo, phi = _interval_eval(a, lo, hi)
             width = phi - plo
             assert plo - width <= value <= phi + width
@@ -327,8 +343,8 @@ def test_theta_enclosure_narrows_monotonically():
 
 
 def test_mixed_context_rejected():
-    a = FieldContext(4).theta
-    b = FieldContext(6).theta
+    a = FieldContext(4).from_coeffs((0, 1))
+    b = FieldContext(6).from_coeffs((0, 1))
     with pytest.raises(ValueError):
         _ = a + b
     with pytest.raises(ValueError):
@@ -337,8 +353,8 @@ def test_mixed_context_rejected():
 
 def test_repr_smoke():
     f = FieldContext(4)
-    assert repr(f.zero) == "0"
-    assert "t" in repr(f.theta)
+    assert repr(f.from_coeffs((0,))) == "AlgebraicScalar((0, 0) in Q(2cos(pi/4)))"
+    assert "(0, 1)" in repr(f.from_coeffs((0, 1)))
 
 
 def test_concurrent_sign_determination_consistent():
@@ -347,20 +363,16 @@ def test_concurrent_sign_determination_consistent():
 
     f = FieldContext(12)
     rng = random.Random(5150)
-    scalars = [
-        f.from_coeffs([Fraction(rng.randint(-20, 20), rng.randint(1, 5))
-                       for _ in range(f.degree)])
-        for _ in range(120)
-    ]
-    # near-zero scalars, so that the threads narrow the enclosure and rebuild its plan
-    scalars += [f.theta * q - p for p, q in _convergents(theta_numeric(12)) if q >= 10**4]
-    expected = [s.sign() for s in scalars]
+    tuples = [tuple(rng.randint(-20, 20) for _ in range(f.degree)) for _ in range(120)]
+    # near-zero values, so that the threads narrow the enclosure and rebuild its plan
+    tuples += [(-p, q, 0, 0) for p, q in _convergents(theta_numeric(12)) if q >= 10**4]
+    expected = [f.sign(t) for t in tuples]
+    assert expected == [mp_sign(t, 12) for t in tuples]
     fresh = FieldContext(12)
-    copies = [fresh.from_coeffs(s.coeffs) for s in scalars]
     results = {}
 
     def worker(idx):
-        results[idx] = [s.sign() for s in copies]
+        results[idx] = [fresh.sign(t) for t in tuples]
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
@@ -467,40 +479,40 @@ def test_integer_bisection_is_the_fraction_bisection(order, halvings):
     (5, 40, 10**20), (12, 40, 10**20), (35, 30, 10**20), (251, 3, 10**5),
 ], ids=["deg2", "deg4", "deg12", "deg125"])
 def test_sign_matches_fraction_horner_and_mpmath(order, count, max_q):
-    # Random scalars with int and with Fraction coefficients, some with zero
-    # top coefficients, and near-zero scalars q*theta - p from the convergents
-    # p/q of theta, alone and times a random scalar.  The near-zero ones force
-    # refine_theta.  Each sign must equal the Fraction interval Horner's and
-    # the sign of a 60-digit evaluation.
+    # Random int tuples, some with zero top coefficients, and near-zero values
+    # q*theta - p from the convergents p/q of theta, alone and times a random
+    # cofactor (multiplied by the test ring).  The near-zero ones force
+    # refine_theta.  Each sign, read by FieldContext.sign as
+    # CoxeterContext._coord_sign reads it and by AlgebraicScalar.sign, must
+    # equal the Fraction interval Horner's and the sign of a 60-digit evaluation.
     rng = random.Random(order)
     f = FieldContext(order)
+    ring = Ring(f.min_poly)
     d = f.degree
     seed = f.theta_enclosure()
     assert _sign_at(f.min_poly, seed[0]) * _sign_at(f.min_poly, seed[1]) < 0
     enclosure = [seed]
-    scalars = []
+    tuples = []
     for _ in range(count):
         top = rng.randint(2, d)
-        ints = [rng.randint(-50, 50) for _ in range(top)] + [0] * (d - top)
-        fracs = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(top)]
-        scalars += [f.from_coeffs(ints), f.from_coeffs(fracs + [0] * (d - top))]
-    near_zero = [f.theta * q - p for p, q in _convergents(theta_numeric(order))
+        small = [rng.randint(-50, 50) for _ in range(top)]
+        large = [rng.randint(-50, 50) * rng.randint(1, 12) for _ in range(top)]
+        tuples += [ring.of(*small), ring.of(*large)]
+    near_zero = [ring.of(-p, q) for p, q in _convergents(theta_numeric(order))
                  if 10**4 <= q <= max_q]
     assert len(near_zero) >= 2
-    cofactor = f.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                              for _ in range(d)])
-    scalars += near_zero + [x * cofactor for x in near_zero]
-    scalars += [f.rational(rng.choice((-1, 1)) * rng.randint(1, 50)),
-                f.rational(Fraction(rng.randint(-50, -1), rng.randint(2, 12)))]
-    assert f.sign((0,) * d) == 0 and f.zero.sign() == 0
-    for x in scalars:
-        value = eval_numeric(x)
+    cofactor = ring.of(*[rng.randint(-9, 9) * rng.randint(1, 5) for _ in range(d)])
+    tuples += near_zero + [ring.mul(x, cofactor) for x in near_zero]
+    tuples += [ring.of(rng.choice((-1, 1)) * rng.randint(1, 50)),
+               ring.of(rng.randint(-50, -1) * rng.randint(2, 12))]
+    assert f.sign((0,) * d) == 0 and f.from_coeffs((0,)).sign() == 0
+    for x in tuples:
+        value = eval_numeric(x, order)
         assert abs(value) > mpmath.mpf(10) ** -30
         expected = 1 if value > 0 else -1
-        if all(type(c) is int for c in x.coeffs):  # the int path of CoxeterContext._coord_sign
-            assert f.sign(x.coeffs) == expected, x
-        assert x.sign() == expected, x
-        assert _fraction_sign(x.coeffs, f.min_poly, enclosure) == expected, x
+        assert f.sign(x) == expected, x
+        assert f.from_coeffs(x).sign() == expected, x
+        assert _fraction_sign(x, f.min_poly, enclosure) == expected, x
     lo, hi = f.theta_enclosure()
     assert seed[0] <= lo < hi <= seed[1] and hi - lo < seed[1] - seed[0]
 
@@ -517,17 +529,18 @@ def test_plan_sign_matches_mpmath_from_a_cold_seed(order):
     # enclosure.
     rng = random.Random(f"plan-{order}")
     f = FieldContext(order)
+    ring = Ring(f.min_poly)
     d = f.degree
     seed = f.theta_enclosure()
     theta = theta_numeric(order)
     tuples = [tuple(rng.randint(-10**6, 10**6) for _ in range(d)) for _ in range(150)]
     for _ in range(60):
         den = rng.randint(10**2, 10**6)
-        near = f.from_coeffs([-int(mpmath.nint(den * theta)), den])
-        x = f.from_coeffs([rng.randint(-99, 99) for _ in range(d)] + [1])
+        near = ring.of(-int(mpmath.nint(den * theta)), den)
+        x = ring.of(*[rng.randint(-99, 99) for _ in range(d)], 1)
         for _ in range(rng.randint(1, 3)):
-            x = x * near
-        tuples.append(x.coeffs)
+            x = ring.mul(x, near)
+        tuples.append(x)
     assert f.sign((0,) * d) == 0
     for coeffs in tuples:
         assert f.sign(coeffs) == mp_sign(coeffs, order), coeffs
@@ -549,8 +562,12 @@ def test_sign_that_never_decides_raises_within_its_halving_budget(monkeypatch, o
     rng = random.Random(order)
     f = FieldContext(order)
     fresh = FieldContext(order)  # the same seed interval, built before the patch
-    x = f.from_coeffs([Fraction(rng.randint(-size, size), rng.randint(1, den))
-                       for _ in range(f.degree)])
+    # d random fractions cleared of their denominators: ints of many sizes
+    fractions = [Fraction(rng.randint(-size, size), rng.randint(1, den)) for _ in range(f.degree)]
+    common = lcm(*[c.denominator for c in fractions])
+    ints = tuple(int(c * common) for c in fractions)
+    x = f.from_coeffs(ints)
+    assert x.coeffs == ints
     halvings = []
     refine = FieldContext.refine_theta
 
@@ -570,61 +587,44 @@ def test_sign_that_never_decides_raises_within_its_halving_budget(monkeypatch, o
         x.sign()
     assert perf_counter() - start < 5
     assert halvings
-    # the int tuple path of CoxeterContext._coord_sign, cleared of denominators
-    # here, spends the same halvings from the same seed interval
+    # the int tuple path of CoxeterContext._coord_sign spends the same
+    # halvings from the same seed interval
     scalar_halvings = halvings[:]
     halvings.clear()
-    den = lcm(*[c.denominator for c in x.coeffs])
-    ints = tuple(int(c * den) for c in x.coeffs)
     with pytest.raises(ArithmeticError, match="narrow enough"):
         fresh.sign(ints)
     assert halvings == scalar_halvings
 
 
-def _schoolbook_product(a, b, poly):
-    # the product of two coefficient lists of ints and Fractions, reduced by
-    # exact long division by the monic minimal polynomial: the remainder, low
-    # degree first
-    d = len(poly) - 1
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            conv[i + j] += ai * bj
-    for k in range(len(conv) - 1, d - 1, -1):
-        q = conv[k]
-        if q:
-            for j, m in enumerate(poly):
-                conv[k - d + j] -= q * m
-    return tuple(conv[:d])
-
-
 @pytest.mark.parametrize("order", [5, 12, 35, 251], ids=["deg2", "deg4", "deg12", "deg125"])
 def test_multiples_and_products_match_polynomial_division(order):
     # FieldContext.multiples is shared by AlgebraicScalar.__mul__, from_coeffs
-    # and the Cartan tables of CoxeterContext, so it is checked against sides
-    # that do not use it: theta^j c and a 2d-long vector reduced by
-    # polynomial division, and a schoolbook product reduced the same way.  The vectors include zero top
-    # coefficients, rational and zero ones, with int and Fraction entries; a
-    # Fraction vector is zero past its first 12 coefficients, so that degree
-    # 125 stays fast in the division.
+    # and the Cartan tables of CoxeterContext, so it is checked against the
+    # test ring (tests/roots.py), which shares no code with it: theta^j c and
+    # a 2d-long vector reduced by polynomial division, and a schoolbook
+    # product reduced the same way.  The vectors include zero top
+    # coefficients and rational and zero ones; a second kind is zero past its
+    # first 12 coefficients, with larger entries, so that degree 125 stays
+    # fast in the division.
     rng = random.Random(f"multiples-{order}")
     f = FieldContext(order)
+    ring = Ring(f.min_poly)
     d = f.degree
     vectors = [[0] * d, [rng.randint(-9, 9)] + [0] * (d - 1)]
     for _ in range(3 if d < 100 else 1):
         top = rng.randint(1, d)
         vectors.append([rng.randint(-50, 50) for _ in range(top)] + [0] * (d - top))
         top = rng.randint(1, min(d, 12))
-        vectors.append([Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(top)]
+        vectors.append([rng.randint(-50, 50) * rng.randint(1, 12) for _ in range(top)]
                        + [0] * (d - top))
     for c in vectors:
         multiples = list(f.multiples(c))
         assert len(multiples) == d
         for j, column in enumerate(multiples):
-            assert column == _schoolbook_product([1], [0] * j + c, f.min_poly)
+            assert column == ring.of(*[0] * j, *c)
         # from_coeffs reduces a vector of any length through the same step
-        assert f.from_coeffs(c + c[::-1]).coeffs == _schoolbook_product([1], c + c[::-1], f.min_poly)
+        assert f.from_coeffs(c + c[::-1]).coeffs == ring.of(*c, *c[::-1])
     for a in vectors:
         for b in vectors:
             product = (f.from_coeffs(a) * f.from_coeffs(b)).coeffs
-            assert product == _schoolbook_product(a, b, f.min_poly), (a, b)
+            assert product == ring.mul(a, b), (a, b)
