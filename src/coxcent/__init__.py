@@ -3,9 +3,10 @@
 For any involution w the library computes a pair (I, u) with u w u^-1 the
 longest element of a (-1)-type standard parabolic W_I, so that
 Z_W(w) = u^-1 N_W(W_I) u.  On finite groups the identity is verified by
-exhaustion, on index tables over the enumerated group: centralizers from one
-pass per conjugacy class, normalizers from one conjugation pass per
-generator.  All arithmetic is exact.
+exhaustion, on index tables over the enumerated group: normalizers from one
+conjugation pass per generator, and for each involution a few words
+generating N_W(W_I), conjugated by u, that must commute with w, with
+|N_W(W_I)| |class of w| = |W|.  All arithmetic is exact.
 """
 
 from .scalar import AlgebraicScalar, FieldContext, FieldDegreeError

@@ -29,16 +29,18 @@ along the BFS tree, d[g] = g^-1 k g = conj[last[g]][d[parent[g]]].
 engine (`class_centralizer`) makes one pass per conjugacy class, whose fibre
 at rep is Z_W(rep), and gets Z_W(c) = g^-1 Z_W(rep) g for the other members
 c; conjugating an index set by a word costs one conj lookup per letter and
-member.  The suites compare the `.indices` of the views.
+member.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
 Z_W(w) = u^-1 N_W(W_I) u (the main suite), and that Z_W(rho_I) = N_W(W_I)
-for every (-1)-type subset I (prop2).  Both suites take Z_W from the class
-engine, which reads neither the certificate nor the normalizer, so the check
-stays independent of what it checks.  The brute-force `centralizer`, which
-tests g w = w g for every g, is kept as the oracle of the tests and of the
-CLI's brute_force_match field.
+for every (-1)-type subset I (prop2).  prop2 compares index lists with the
+class engine's Z_W, which reads neither the certificate nor the normalizer.
+main checks by generators and orders (`verify_centralizer_certificate`), and
+the tests check it against the set equality of `class_centralizer` and
+`conjugated_normalizer`.
+The brute-force `centralizer`, which tests g w = w g for every g, is kept as
+the oracle of the tests and of the CLI's brute_force_match field.
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ class FiniteGroup:
     on demand, its orbit vector walked lazily.  The inverse table
     (from the first-letter and suffix recurrences) and the conjugation table
     are derived on first use and kept, as are the generators' conjugation
-    passes; the memos hold one normalizer index list per parabolic subset
-    and one index pair per conjugacy class.
+    passes and each involution's class size; the memos hold one normalizer
+    index list and one generating set of N_W(W_I) with its order per
+    parabolic subset, and one index pair per conjugacy class.
     Nothing held here refers back to the group, so it is freed by reference
     counting.
     """
@@ -146,6 +149,9 @@ class FiniteGroup:
         self._class_memo: dict[int, tuple[list[int], dict[int, int]]] = {}
         # generator index -> its conjugation pass, at most rank lists of |W| slots
         self._passes: dict[int, list[int]] = {}
+        # subset -> (words generating N_W(W_I), None if their closure falls
+        # short; |N_W(W_I)|), read by verify_centralizer_certificate
+        self._generators_memo: dict[frozenset, tuple[list | None, int]] = {}
 
     def __len__(self):
         return len(self._steps)
@@ -229,6 +235,28 @@ class FiniteGroup:
             if 0 < k <= self.context.rank:
                 self._passes[k] = d
         return d
+
+    @cached_property
+    def _class_sizes(self) -> dict[int, int]:
+        """Involution index -> the size of its conjugacy class, from one involution_classes pass."""
+        return {i: len(members) for members, _ in involution_classes(self) for i in members.indices}
+
+    def _normalizer_generators(self, subset) -> tuple[list | None, int]:
+        """(X_I, |N_W(W_I)|): the simple generators when N_W(W_I) is W, else
+        words taken greedily from `normalizer(I)`, kept only when their
+        closure has exactly |N_W(W_I)| members (X_I is None otherwise)."""
+        subset = frozenset(subset)
+        found = self._generators_memo.get(subset)
+        if found is None:
+            members = normalizer(subset, self).indices
+            if len(members) == len(self):
+                gens = [(s,) for s in range(self.context.rank)]
+            else:
+                gens, order = _greedy_generators(self, members)
+                if order != len(members):
+                    gens = None
+            found = self._generators_memo[subset] = (gens, len(members))
+        return found
 
     def _conjugate(self, indices, word) -> list[int]:
         """The indices of u^-1 x u for x in `indices`, u the product of the word.
@@ -454,16 +482,65 @@ def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> El
     return ElementSet(group, sorted(group._conjugate(members, cert.conjugator.word)))
 
 
-def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
-    """Set equality Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w.
+def _greedy_generators(group: FiniteGroup, members) -> tuple[list[tuple[int, ...]], int]:
+    """(X, |<X>|): the words of the members, in index order, that lie outside
+    the subgroup generated by the words taken before them, and the order of
+    the group they generate.
 
-    Both sides are sorted index lists.  Z_W(w) comes from the class engine,
-    one pass over W per conjugacy class, not from the brute-force
-    `centralizer`; the two give the same set, which the tests check on every
-    involution of several groups.  Neither centralizer reads the certificate.
+    The group is closed over the step table by Dimino's coset enumeration.
+    When a word joins, H = <earlier words> grows by right cosets, appended
+    as runs of |H| members, run H r led by r.  A leader r and a word x with
+    r x outside give the run H r x, x walked from each member of H r.  Once
+    every run is expanded, the members are closed under every word taken.
+    """
+    steps, walk = group._steps, group.walk
+    gens, elements, inside = [], [0], bytearray(len(group))
+    inside[0] = 1
+    for g in members:
+        if inside[g]:
+            continue
+        gens.append(group.word(g))
+        size, start = len(elements), 0
+        while start < len(elements):
+            r = elements[start]
+            for word in gens:
+                if not inside[walk(r, word)]:
+                    coset = elements[start:start + size]
+                    for s in word:
+                        coset = [steps[x][s] for x in coset]
+                    for x in coset:
+                        inside[x] = 1
+                    elements += coset
+            start += size
+    return gens, len(elements)
+
+
+def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
+    """Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w, by generators and orders.
+
+    With X_I the words generating N_W(W_I), every u^-1 x u (x in X_I) must
+    commute with w, and |N_W(W_I)| |class of w| must be |W|.  That is exact:
+
+    * X_I lies in N_W(W_I), from `normalizer`, and its closure over the step
+      table has |N_W(W_I)| members, so <X_I> = N_W(W_I) and
+      u^-1 N_W(W_I) u lies in Z_W(w);
+    * |Z_W(w)| = |W| / |class of w| by orbit-stabilizer, so the inclusion
+      is an equality.
+
+    u^-1 x u commutes with w iff x commutes with v = u w u^-1.  So v's index
+    is walked once, from the unreduced word u w u^-1, and each x costs the
+    two short walks of walk(v, x) = walk(walk(0, x), word(v)), not four
+    through u.  X_I and |N_W(W_I)| are kept per subset, the class sizes per
+    group (one `involution_classes` pass, no conj table).
     """
     cert = involution_certificate(w)
-    return conjugated_normalizer(cert, group).indices == class_centralizer(w, group).indices
+    gens, order = group._normalizer_generators(cert.subset)
+    if gens is None or order * group._class_sizes[group.index_of(w)] != len(group):
+        return False
+    u, walk = cert.conjugator.word, group.walk
+    v = walk(0, u + w.word + u[::-1])
+    v_word = group.word(v)
+    return all(walk(v, x) == walk(walk(0, x), v_word) for x in gens)
 
 
 def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
@@ -562,10 +639,10 @@ def verify_suite(name: str, group: FiniteGroup) -> tuple[int, list[dict]]:
     """(instances_checked, failures) of the suite `name`, one of SUITES, over the group.
 
     prop1: every involution's certificate verifies.  prop2: Z_W(rho_I) =
-    N_W(W_I) for every (-1)-type I.  main: Z_W(w) = u^-1 N_W(W_I) u for
-    every involution w.  Both take Z_W from the class engine and compare
-    sorted index lists.  classes: the involution classes partition the
-    involutions and each holds its certificate's rho_I.  Failures name
-    instances 1-based.
+    N_W(W_I) for every (-1)-type I, Z_W from the class engine, as sorted
+    index lists.  main: Z_W(w) = u^-1 N_W(W_I) u for every involution w, by
+    generators and orders (`verify_centralizer_certificate`).  classes: the
+    involution classes partition the involutions and each holds its
+    certificate's rho_I.  Failures name instances 1-based.
     """
     return _SUITE_RUNNERS[name](group)

@@ -215,6 +215,125 @@ def test_centralizer_certificate_f4_random(group_of, context_of):
         assert verify_centralizer_certificate(w, group)
 
 
+def _set_equality(w, group, cert=None):
+    """The independent oracle of the main identity: Z_W(w) from the class
+    engine against u^-1 N_W(W_I) u, member by member, as sorted index lists."""
+    cert = cert or involution_certificate(w)
+    return class_centralizer(w, group).indices == conjugated_normalizer(cert, group).indices
+
+
+@pytest.mark.parametrize("name, count", [("H3", 32), ("B4", 76), ("A5", 76), ("D5", 156),
+                                         ("F4", 140), ("E6", 892)])
+def test_generators_and_orders_agree_with_set_equality(group_of, name, count):
+    group = group_of(name)
+    members = involutions(group)
+    assert len(members) == count
+    for w in members:
+        assert verify_centralizer_certificate(w, group) is True, w.word
+        assert _set_equality(w, group) is True, w.word
+
+
+def _closure(group, words):
+    """The indices of <words>, by a plain BFS over right multiplication."""
+    seen, frontier = {0}, [0]
+    for x in frontier:
+        for word in words:
+            y = group.walk(x, word)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def test_main_suite_reads_no_class_centralizer():
+    group = enumerate_group(CoxeterContext.from_name("D5"))
+    assert finite.verify_suite("main", group) == (156, [])
+    assert not group._class_memo
+    # one class-size entry per involution, one generator memo entry per certificate subset
+    assert len(group._class_sizes) == 156
+    subsets = {involution_certificate(w).subset for w in involutions(group)}
+    assert set(group._generators_memo) == subsets
+    for subset in subsets:
+        gens, order = group._generators_memo[subset]
+        members = normalizer(subset, group).indices
+        assert order == len(members)
+        assert _closure(group, gens) == set(members)
+
+
+@pytest.mark.parametrize("name", ["B4", "D5", "F4", "I2(8)"])
+def test_greedy_generators_close_by_cosets(name):
+    # on a standard parabolic the greedy takes its simple generators, in order
+    ctx = CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    for k in range(ctx.rank + 1):
+        for subset in combinations(range(ctx.rank), k):
+            parabolic = sorted(group.walk(0, w.word) for w in group if set(w.word) <= set(subset))
+            assert finite._greedy_generators(group, parabolic) == \
+                ([(s,) for s in subset], len(parabolic)), subset
+    # on every normalizer, the greedy order is the order of a plain BFS closure
+    for k in range(1, ctx.rank):
+        for subset in combinations(range(ctx.rank), k):
+            members = normalizer(subset, group).indices
+            gens, order = finite._greedy_generators(group, members)
+            assert order == len(members) and _closure(group, gens) == set(members), subset
+
+
+@pytest.mark.parametrize("name", ["B4", "D5"])
+def test_main_fails_when_the_greedy_selection_skips_a_generator(monkeypatch, name):
+    group = enumerate_group(CoxeterContext.from_name(name))
+    greedy = finite._greedy_generators
+
+    def skipping(group, members):
+        gens = greedy(group, members)[0][:-1]
+        return gens, len(_closure(group, gens))
+
+    monkeypatch.setattr(finite, "_greedy_generators", skipping)
+    mutated = 0
+    for w in involutions(group):
+        cert = involution_certificate(w)
+        if len(normalizer(cert.subset, group)) == len(group):
+            # N_W(W_I) = W takes the simple generators, not the greedy selection
+            assert verify_centralizer_certificate(w, group)
+            continue
+        mutated += 1
+        assert verify_centralizer_certificate(w, group) is False, w.word
+        assert group._generators_memo[cert.subset][0] is None
+        assert _set_equality(w, group)
+    assert mutated > 0
+    checked, failures = finite.verify_suite("main", group)
+    assert len(failures) == mutated and checked == len(involutions(group))
+
+
+@pytest.mark.parametrize("name", ["B4", "D5"])
+def test_main_fails_with_a_wrong_conjugator(monkeypatch, name):
+    ctx = CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    wrong = 0
+    for w in involutions(group):
+        cert = involution_certificate(w)
+        for s in range(ctx.rank):
+            bad = cert._replace(conjugator=cert.conjugator * ctx.generator(s))
+            monkeypatch.setattr(finite, "involution_certificate", lambda el: bad)
+            verdict = verify_centralizer_certificate(w, group)
+            # |N_W(W_I)| = |Z_W(w)| either way, so inclusion and equality agree
+            assert verdict is _set_equality(w, group, bad), (w.word, s)
+            wrong += not verdict
+    assert wrong > 0
+
+
+@pytest.mark.parametrize("name", ["B4", "D5"])
+def test_main_fails_with_a_class_size_off_by_one(name):
+    group = enumerate_group(CoxeterContext.from_name(name))
+    sizes = group._class_sizes
+    for w in involutions(group):
+        c = group.index_of(w)
+        for delta in (1, -1):
+            sizes[c] += delta
+            assert verify_centralizer_certificate(w, group) is False, (w.word, delta)
+            sizes[c] -= delta
+        assert verify_centralizer_certificate(w, group) is True
+
+
 def test_involution_classes_a2(group_of):
     classes = involution_classes(group_of("A2"))
     assert [len(c) for c, _ in classes] == [1, 3]
