@@ -49,10 +49,19 @@ COMMAND_INPUT = {"reduce": "word", "involution-nf": "word", "centralizer": "word
                  "verify": "suite"}
 
 
+class _FixedWidthFormatter(argparse.HelpFormatter):
+    """Help and usage at width 78, argparse's width when there is no terminal,
+    so that COLUMNS and the terminal's size change no byte of them."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxcent",
         description="Involution certificates and centralizer verification in Coxeter groups.",
+        formatter_class=_FixedWidthFormatter,
     )
     parser.add_argument("command", choices=COMMAND_INPUT)
     system = parser.add_mutually_exclusive_group(required=True)

@@ -10,13 +10,17 @@ result, a FiniteGroup, numbers the elements in ShortLex order and keeps
 three index tables: steps[x][s], the index of x s, and parent[x], last[x]
 with x = parent[x] last[x], so that x's word is read back along the
 parents.  Words and GroupElements (`group[i]`) are built on demand and not
-kept.  Two more tables are derived once per group, on first use:
+kept.  Three more tables are derived once per group, on first use:
 
 * inv[x], the index of x^-1, by first-letter and suffix recurrences along
   the parents, checked to be an involutive permutation;
 * conj[s][x] = s x s = steps[inv[steps[inv[x]][s]]][s], n |W| entries, read
   by the normalizer and the class engine.  The involution classes do without
-  it: for an involution i, s i s = (i s)^-1 s = steps[inv[steps[i][s]]][s].
+  it: for an involution i, s i s = (i s)^-1 s = steps[inv[steps[i][s]]][s];
+* each involution's certificate (I, steps), the descent of
+  `involution_certificate` read off the step and inverse tables in one pass
+  in index order: the least right descent s with s x s != x gives x the
+  entry of the shorter s x s with s put in front.
 
 A set of elements is an ElementSet: a view holding the FiniteGroup and the
 strictly increasing indices of its members.  Sorted indices are ShortLex
@@ -36,9 +40,11 @@ These oracles exist to verify, by exhaustion, that a conjugation certificate
 Z_W(w) = u^-1 N_W(W_I) u (the main suite), and that Z_W(rho_I) = N_W(W_I)
 for every (-1)-type subset I (prop2).  prop2 compares index lists with the
 class engine's Z_W, which reads neither the certificate nor the normalizer.
-main checks by generators and orders (`verify_centralizer_certificate`), and
-the tests check it against the set equality of `class_centralizer` and
-`conjugated_normalizer`.
+main checks by generators and orders (`verify_centralizer_certificate`), on
+the certificate table, each entry checked to give u w u^-1 = rho_I with I of
+(-1)-type; the tests check it against the set equality of `class_centralizer`
+and `conjugated_normalizer`, and the table against the descent.  prop1 runs
+the orbit-vector descent itself on every involution.
 The brute-force `centralizer`, which tests g w = w g for every g, is kept as
 the oracle of the tests and of the CLI's brute_force_match field.
 """
@@ -53,6 +59,7 @@ from operator import lt
 from .group import CoxeterContext, GroupElement, word_to_string
 from .involution import (
     InvolutionCertificate,
+    _parabolic,
     involution_certificate,
     is_minus_one_type,
     longest_element,
@@ -131,9 +138,9 @@ class FiniteGroup:
     on demand, its orbit vector walked lazily.  The inverse table
     (from the first-letter and suffix recurrences) and the conjugation table
     are derived on first use and kept, as are the generators' conjugation
-    passes and each involution's class size; the memos hold one normalizer
-    index list and one generating set of N_W(W_I) with its order per
-    parabolic subset, and one index pair per conjugacy class.
+    passes and each involution's certificate and class size; the memos hold
+    one normalizer index list and one generating set of N_W(W_I) with its
+    order per parabolic subset, and one index pair per conjugacy class.
     Nothing held here refers back to the group, so it is freed by reference
     counting.
     """
@@ -237,9 +244,40 @@ class FiniteGroup:
         return d
 
     @cached_property
+    def _certificates(self) -> dict[int, tuple[frozenset, tuple[int, ...]]]:
+        """Involution index -> (I, steps), the certificate of `involution_certificate`
+        read off the tables, in one pass over the involutions in index order.
+
+        D(x) = {s : x s < x}: index order is ShortLex, so graded by length.
+        The descent conjugates x by the least s in D(x) with s x s != x, and
+        s x s = (x s)^-1 s is three lookups.  That conjugate is two shorter,
+        so its entry is already made and x's is (its I, (s,) + its steps).
+        If every s in D(x) fixes x, the entry is (D(x), ()).  No check is made
+        here that x is rho_I or that I is of (-1)-type:
+        verify_centralizer_certificate checks both.
+        """
+        steps, inv = self._steps, self._inv
+        certs = {}
+        for x in [i for i, j in enumerate(inv) if i == j]:
+            row = steps[x]
+            for s, t in enumerate(row):
+                if t < x:
+                    c = steps[inv[t]][s]
+                    if c != x:
+                        shorter = certs.get(c)
+                        if shorter is None:
+                            raise AssertionError(f"the conjugate of involution {x} by "
+                                                 f"generator {s} is not a shorter involution")
+                        certs[x] = (shorter[0], (s,) + shorter[1])
+                        break
+            else:
+                certs[x] = (frozenset(s for s, t in enumerate(row) if t < x), ())
+        return certs
+
+    @cached_property
     def _class_sizes(self) -> dict[int, int]:
-        """Involution index -> the size of its conjugacy class, from one involution_classes pass."""
-        return {i: len(members) for members, _ in involution_classes(self) for i in members.indices}
+        """Involution index -> the size of its conjugacy class, from one orbit search."""
+        return {i: len(members) for members in _involution_orbits(self) for i in members}
 
     def _normalizer_generators(self, subset) -> tuple[list | None, int]:
         """(X_I, |N_W(W_I)|): the simple generators when N_W(W_I) is W, else
@@ -518,8 +556,13 @@ def _greedy_generators(group: FiniteGroup, members) -> tuple[list[tuple[int, ...
 def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
     """Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w, by generators and orders.
 
-    With X_I the words generating N_W(W_I), every u^-1 x u (x in X_I) must
-    commute with w, and |N_W(W_I)| |class of w| must be |W|.  That is exact:
+    (I, u) is read off the group's certificate table (FiniteGroup._certificates),
+    not by the orbit-vector descent; u is the table's steps reversed.  The
+    entry is checked, not trusted: I must be of (-1)-type, and u w u^-1,
+    walked from the unreduced word, must be the index of rho_I, taken from
+    the subset memo.  Then, with X_I the words generating N_W(W_I), every
+    u^-1 x u (x in X_I) must commute with w, and |N_W(W_I)| |class of w|
+    must be |W|.  That is exact:
 
     * X_I lies in N_W(W_I), from `normalizer`, and its closure over the step
       table has |N_W(W_I)| members, so <X_I> = N_W(W_I) and
@@ -527,32 +570,39 @@ def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
     * |Z_W(w)| = |W| / |class of w| by orbit-stabilizer, so the inclusion
       is an equality.
 
-    u^-1 x u commutes with w iff x commutes with v = u w u^-1.  So v's index
-    is walked once, from the unreduced word u w u^-1, and each x costs the
-    two short walks of walk(v, x) = walk(walk(0, x), word(v)), not four
-    through u.  X_I and |N_W(W_I)| are kept per subset, the class sizes per
-    group (one `involution_classes` pass, no conj table).
+    u^-1 x u commutes with w iff x commutes with v = u w u^-1.  So each x
+    costs the two short walks of walk(v, x) = walk(walk(0, x), word(v)), not
+    four through u.  It reads v's own word, not rho_I's, which would make it
+    decide v = rho_I too, so that each check fails on its own.  X_I and
+    |N_W(W_I)| are kept per subset, the class sizes per group (one orbit
+    search, no conj table).  A non-involution raises ValueError.
     """
-    cert = involution_certificate(w)
-    gens, order = group._normalizer_generators(cert.subset)
-    if gens is None or order * group._class_sizes[group.index_of(w)] != len(group):
+    k = group.index_of(w)
+    cert = group._certificates.get(k)
+    if cert is None:
+        raise ValueError(f"not an involution: '{word_to_string(w.word)}'")
+    subset, steps = cert
+    entry = _parabolic(group.context, subset)
+    if entry is None or not entry[2]:
         return False
-    u, walk = cert.conjugator.word, group.walk
-    v = walk(0, u + w.word + u[::-1])
+    walk = group.walk
+    v = walk(0, steps[::-1] + w.word + steps)
+    if v != walk(0, entry[0]):
+        return False
+    gens, order = group._normalizer_generators(subset)
+    if gens is None or order * group._class_sizes[k] != len(group):
+        return False
     v_word = group.word(v)
     return all(walk(v, x) == walk(walk(0, x), v_word) for x in gens)
 
 
-def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
-    """Conjugacy classes of involutions (identity included), with certificates.
+def _involution_orbits(group: FiniteGroup) -> list[list[int]]:
+    """The conjugacy classes of involutions (identity included) as sorted index
+    lists, in the order of their least members.
 
     Classes are orbits under conjugation by generators.  The search visits
     involutions only, and for an involution i, s i s = (i s)^-1 s is three
-    lookups in the step and inverse tables, so no conj table is built.  Each
-    class is listed with the certificate of its ShortLex-least (so
-    minimal-length) representative.  Classes come back sorted by their
-    representative.  That each class holds the longest element its
-    certificate names is checked by the `classes` suite, not here.
+    lookups in the step and inverse tables, so no conj table is built.
     """
     steps, inv = group._steps, group._inv
     unassigned = {i for i, j in enumerate(inv) if i == j}
@@ -569,9 +619,21 @@ def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionC
                     orbit.add(j)
                     frontier.append(j)
         unassigned -= orbit
-        out.append((ElementSet(group, sorted(orbit)),
-                    involution_certificate(group[rep])))
+        out.append(sorted(orbit))
     return out
+
+
+def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionCertificate]]:
+    """Conjugacy classes of involutions (identity included), with certificates.
+
+    The classes come from one orbit search over the involutions
+    (`_involution_orbits`).  Each is listed with the certificate of its
+    ShortLex-least (so minimal-length) representative, and classes come back
+    sorted by their representative.  That each class holds the longest
+    element its certificate names is checked by the `classes` suite, not here.
+    """
+    return [(ElementSet(group, members), involution_certificate(group[members[0]]))
+            for members in _involution_orbits(group)]
 
 
 def _suite_prop1(group):
@@ -641,7 +703,8 @@ def verify_suite(name: str, group: FiniteGroup) -> tuple[int, list[dict]]:
     prop1: every involution's certificate verifies.  prop2: Z_W(rho_I) =
     N_W(W_I) for every (-1)-type I, Z_W from the class engine, as sorted
     index lists.  main: Z_W(w) = u^-1 N_W(W_I) u for every involution w, by
-    generators and orders (`verify_centralizer_certificate`).  classes: the
+    generators and orders, (I, u) read off the certificate table
+    (`verify_centralizer_certificate`).  classes: the
     involution classes partition the involutions and each holds its
     certificate's rho_I.  Failures name instances 1-based.
     """

@@ -357,6 +357,23 @@ def test_help_lists_the_commands():
         assert command in proc.stdout
 
 
+def test_help_and_usage_bytes_do_not_depend_on_the_terminal(monkeypatch):
+    # argparse sizes its text to COLUMNS, else to the terminal, else to 80
+    # columns; the parser fixes the width that argparse uses with no terminal
+    seen = set()
+    for columns in ("40", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        seen.add((run("--help").stdout, run("verify", "--type", "A3").stderr))
+    assert len(seen) == 1
+    help_text, usage = seen.pop()
+    assert "usage: coxcent" in usage
+    # a process with its stdout on a pipe and no COLUMNS has no terminal to read
+    assert run_process("--help").stdout == help_text
+
+
 def test_closed_stdout_is_not_a_crash():
     # the reader closes its end before the CLI writes, like `coxcent ... | head -c 10`
     proc = subprocess.Popen(COX + ["reduce", "--type", "A2", "--word", "1 2"],

@@ -205,6 +205,8 @@ def test_centralizer_certificate_examples(group_of, context_of):
     w = el(ctx, "2 1 3 2")  # the (14)(23) involution pattern
     assert (w * w).is_identity
     assert verify_centralizer_certificate(w, group)
+    with pytest.raises(ValueError, match="not an involution"):
+        verify_centralizer_certificate(el(ctx, "1 2"), group)
 
 
 def test_centralizer_certificate_f4_random(group_of, context_of):
@@ -305,20 +307,76 @@ def test_main_fails_when_the_greedy_selection_skips_a_generator(monkeypatch, nam
 
 
 @pytest.mark.parametrize("name", ["B4", "D5"])
-def test_main_fails_with_a_wrong_conjugator(monkeypatch, name):
+def test_main_fails_with_a_wrong_conjugator(name):
+    # each table entry (I, steps) is mutated to u s for every generator s and
+    # to u with its last step dropped (u is the steps reversed)
     ctx = CoxeterContext.from_name(name)
     group = enumerate_group(ctx)
-    wrong = 0
+    table = group._certificates
+    verdicts = []
     for w in involutions(group):
-        cert = involution_certificate(w)
-        for s in range(ctx.rank):
-            bad = cert._replace(conjugator=cert.conjugator * ctx.generator(s))
-            monkeypatch.setattr(finite, "involution_certificate", lambda el: bad)
+        x = group.index_of(w)
+        subset, steps = table[x]
+        rho = group.walk(0, longest_element(ctx, subset).word)
+        for bad in [(s,) + steps for s in range(ctx.rank)] + [steps[:-1]] * bool(steps):
+            table[x] = (subset, bad)
             verdict = verify_centralizer_certificate(w, group)
-            # |N_W(W_I)| = |Z_W(w)| either way, so inclusion and equality agree
-            assert verdict is _set_equality(w, group, bad), (w.word, s)
-            wrong += not verdict
-    assert wrong > 0
+            u = bad[::-1]
+            exact = group.walk(0, u + w.word + bad) == rho
+            cert = InvolutionCertificate(subset, ctx.element(u), bad)
+            assert verdict is (exact and _set_equality(w, group, cert)), (w.word, bad)
+            verdicts.append(verdict)
+        table[x] = (subset, steps)
+        assert verify_centralizer_certificate(w, group) is True, w.word
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("name", ["B4", "D5"])
+def test_main_fails_when_a_subset_is_not_of_minus_one_type(monkeypatch, name):
+    # every rho_I check passes; only the (-1)-type flag of the subset memo is flipped
+    group = enumerate_group(CoxeterContext.from_name(name))
+    parabolic = finite._parabolic
+    monkeypatch.setattr(finite, "_parabolic", lambda ctx, key: parabolic(ctx, key)[:2] + (False,))
+    checked, failures = finite.verify_suite("main", group)
+    assert checked == len(failures) == len(involutions(group))
+
+
+@pytest.mark.parametrize("name", ["H3", "B4", "A5", "D5", "F4", "H4", "E6", "I2(8)"])
+def test_certificate_table_matches_the_descent(group_of, name):
+    group = group_of(name)
+    table = group._certificates
+    members = involutions(group)
+    assert list(table) == [group.index_of(w) for w in members]
+    assert table[0] == (frozenset(), ())
+    for w in members:
+        cert = involution_certificate(w)
+        assert table[group.index_of(w)] == (cert.subset, cert.steps), w.word
+
+
+def test_certificate_table_refuses_a_conjugate_it_has_not_met(context_of):
+    # with inv[1 2] read as 1 2 1, the conjugate of 1 2 1 by s_1 comes out as
+    # 1 2, which has no entry: an AssertionError, not a KeyError or a skip
+    ctx = context_of("A2")
+    group = enumerate_group(ctx)
+    inv = list(group._inv)
+    inv[group.index_of(el(ctx, "1 2"))] = group.index_of(el(ctx, "1 2 1"))
+    group._inv = inv
+    with pytest.raises(AssertionError, match="not a shorter involution"):
+        group._certificates
+
+
+def test_main_builds_no_involution_certificate(monkeypatch):
+    def refuse(w):
+        raise AssertionError("main read the orbit-vector descent")
+
+    group = enumerate_group(CoxeterContext.from_name("D5"))
+    monkeypatch.setattr(finite, "involution_certificate", refuse)
+    assert finite.verify_suite("main", group) == (156, [])
+    calls = []
+    monkeypatch.setattr(finite, "involution_certificate",
+                        lambda w: calls.append(w.word) or involution_certificate(w))
+    assert finite.verify_suite("prop1", group) == (156, [])
+    assert sorted(calls) == sorted(w.word for w in involutions(group))
 
 
 @pytest.mark.parametrize("name", ["B4", "D5"])
