@@ -10,17 +10,17 @@ result, a FiniteGroup, numbers the elements in ShortLex order and keeps
 three index tables: steps[x][s], the index of x s, and parent[x], last[x]
 with x = parent[x] last[x], so that x's word is read back along the
 parents.  Words and GroupElements (`group[i]`) are built on demand and not
-kept.  Three more tables are derived once per group, on first use:
+kept.  Two more tables are derived once per group, on first use:
 
 * inv[x], the index of x^-1, by first-letter and suffix recurrences along
   the parents, checked to be an involutive permutation;
-* conj[s][x] = s x s = steps[inv[steps[inv[x]][s]]][s], n |W| entries, read
-  by the normalizer and the class engine.  The involution classes do without
-  it: for an involution i, s i s = (i s)^-1 s = steps[inv[steps[i][s]]][s];
 * each involution's certificate (I, steps), the descent of
   `involution_certificate` read off the step and inverse tables in one pass
   in index order: the least right descent s with s x s != x gives x the
   entry of the shorter s x s with s put in front.
+
+Conjugates are read off these tables: s x s = (x^-1 s)^-1 s is the four
+lookups steps[inv[steps[inv[x]][s]]][s], three for an involution x (x^-1 = x).
 
 A set of elements is an ElementSet: a view holding the FiniteGroup and the
 strictly increasing indices of its members.  Sorted indices are ShortLex
@@ -28,11 +28,11 @@ order, so a view needs no sort key, and no word dict is kept, for a view or
 for W: an element's index is its word walked through the step table.  Past
 that lookup, no oracle but the brute-force `centralizer` walks a word.  The
 involutions are the x with inv[x] = x.  The conjugation pass of k runs
-along the BFS tree, d[g] = g^-1 k g = conj[last[g]][d[parent[g]]].
+along the BFS tree, d[g] = g^-1 k g = s d[parent[g]] s with s = last[g].
 `normalizer` keeps x iff d_s[x] lies in W_I for every s in I.  The class
 engine (`class_centralizer`) makes one pass per conjugacy class, whose fibre
 at rep is Z_W(rep), and gets Z_W(c) = g^-1 Z_W(rep) g for the other members
-c; conjugating an index set by a word costs one conj lookup per letter and
+c; conjugating an index set by a word costs four lookups per letter and
 member.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
@@ -136,9 +136,9 @@ class FiniteGroup:
     steps[x][s] is the index of x s, and x = parent[x] last[x], so `word(x)`
     follows the parents.  `group[i]` builds GroupElement(context, word(i))
     on demand, its orbit vector walked lazily.  The inverse table
-    (from the first-letter and suffix recurrences) and the conjugation table
-    are derived on first use and kept, as are the generators' conjugation
-    passes and each involution's certificate and class size; the memos hold
+    (from the first-letter and suffix recurrences) is derived on first use
+    and kept, as are the generators' conjugation passes and each
+    involution's certificate and class size; the memos hold
     one normalizer index list and one generating set of N_W(W_I) with its
     order per parabolic subset, and one index pair per conjugacy class.
     Nothing held here refers back to the group, so it is freed by reference
@@ -205,10 +205,10 @@ class FiniteGroup:
         inv[x] = steps[inv[y]][first[x]]; y is shorter, so inv[y] is known.
         A generator is its own inverse.
 
-        Checked to be an involutive permutation: the conj table is built from
-        it, and the normalizer and the class engine read conj on both sides
-        of the sets they compare, so a wrong inverse must fail here instead
-        of agreeing with itself.
+        Checked to be an involutive permutation: every conjugation reads it
+        twice per letter, and the normalizer and the class engine conjugate
+        on both sides of the sets they compare, so a wrong inverse must fail
+        here instead of agreeing with itself.
         """
         steps, parent, last = self._steps, self._parent, self._last
         first, suffix, inv = [0] * len(steps), [0] * len(steps), list(range(len(steps)))
@@ -224,21 +224,15 @@ class FiniteGroup:
             raise AssertionError("inverse table is not an involution")
         return inv
 
-    @cached_property
-    def _conj(self) -> list[list[int]]:
-        """conj[s][x], the index of s x s: (x^-1 s)^-1 s, four lookups per entry."""
-        steps, inv = self._steps, self._inv
-        return [[steps[inv[steps[y][s]]][s] for y in inv] for s in range(self.context.rank)]
-
     def _pass(self, k: int) -> list[int]:
         """d[g], the index of g^-1 k g, with d[g] = s d[p] s for g = p s along
         the BFS tree; kept when k is a generator, index 1..rank."""
         d = self._passes.get(k)
         if d is None:
-            conj = self._conj
+            steps, inv = self._steps, self._inv
             d = [k]
             for p, s in zip(islice(self._parent, 1, None), islice(self._last, 1, None)):
-                d.append(conj[s][d[p]])
+                d.append(steps[inv[steps[inv[d[p]]][s]]][s])
             if 0 < k <= self.context.rank:
                 self._passes[k] = d
         return d
@@ -299,12 +293,11 @@ class FiniteGroup:
     def _conjugate(self, indices, word) -> list[int]:
         """The indices of u^-1 x u for x in `indices`, u the product of the word.
 
-        u^-1 x u = s_m..s_1 x s_1..s_m: one conj lookup per letter and member.
+        u^-1 x u = s_m..s_1 x s_1..s_m: four table lookups per letter and member.
         """
-        conj = self._conj
+        steps, inv = self._steps, self._inv
         for s in word:
-            table = conj[s]
-            indices = [table[x] for x in indices]
+            indices = [steps[inv[steps[inv[x]][s]]][s] for x in indices]
         return indices
 
 
@@ -432,7 +425,7 @@ def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     """All g in the group with g w = w g, by brute force.
 
     w g comes along the BFS tree, as w p s for g = p s, and g w from a walk
-    of w's word from g; neither reads the inverse or conjugation tables.
+    of w's word from g; neither reads the inverse table.
     """
     k = group.index_of(w)
     word_w = w.word
@@ -515,7 +508,7 @@ def verify_centralizer_is_normalizer(subset, group: FiniteGroup) -> bool:
 
 
 def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> ElementSet:
-    """u^-1 N_W(W_I) u for the certificate (I, u), by conj lookups."""
+    """u^-1 N_W(W_I) u for the certificate (I, u), by `FiniteGroup._conjugate`."""
     members = normalizer(cert.subset, group).indices
     return ElementSet(group, sorted(group._conjugate(members, cert.conjugator.word)))
 
@@ -575,7 +568,7 @@ def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
     four through u.  It reads v's own word, not rho_I's, which would make it
     decide v = rho_I too, so that each check fails on its own.  X_I and
     |N_W(W_I)| are kept per subset, the class sizes per group (one orbit
-    search, no conj table).  A non-involution raises ValueError.
+    search over the involutions).  A non-involution raises ValueError.
     """
     k = group.index_of(w)
     cert = group._certificates.get(k)
@@ -602,7 +595,7 @@ def _involution_orbits(group: FiniteGroup) -> list[list[int]]:
 
     Classes are orbits under conjugation by generators.  The search visits
     involutions only, and for an involution i, s i s = (i s)^-1 s is three
-    lookups in the step and inverse tables, so no conj table is built.
+    lookups in the step and inverse tables, and no conjugation pass is run.
     """
     steps, inv = group._steps, group._inv
     unassigned = {i for i, j in enumerate(inv) if i == j}

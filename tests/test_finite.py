@@ -182,6 +182,17 @@ def test_class_centralizer_matches_brute_force(name):
     assert len({id(v) for v in group._class_memo.values()}) == len(involution_classes(group))
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(8)", "A2xB2"])
+def test_class_centralizer_matches_brute_force_on_every_element(name):
+    # non-involutions too: the pass of a rep k with k != k^-1 runs through
+    # conjugates g^-1 k g that are not involutions, where s x s needs x^-1
+    ctx = CoxeterContext(A2_X_B2) if name == "A2xB2" else CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    assert any(group._inv[x] != x for x in range(len(group)))
+    for w in group:
+        assert class_centralizer(w, group).indices == centralizer(w, group).indices, w.word
+
+
 def test_normalizer_examples(group_of, context_of):
     ctx, group = context_of("A2"), group_of("A2")
     assert normalizer((), group).words() == group.words()
@@ -546,15 +557,24 @@ def test_normalizer_matches_walk_definition(name):
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(8)"])
 def test_conjugation_table_matches_multiplication(name):
+    # _conjugate reads s x s off the step and inverse tables: against the
+    # product s x s for every x and s, then against the normal form of the
+    # word u^-1 x u for seeded words u of length 2..4
     ctx = CoxeterContext.from_name(name)
     group = enumerate_group(ctx)
-    inv, conj = group._inv, group._conj
-    assert len(conj) == ctx.rank
+    everything = range(len(group))
     for x, el in enumerate(group):
-        assert group[inv[x]] == el.inverse()
-        for s in range(ctx.rank):
-            gen = ctx.generator(s)
-            assert group[conj[s][x]] == gen * el * gen
+        assert group[group._inv[x]] == el.inverse()
+    for s in range(ctx.rank):
+        gen = ctx.generator(s)
+        conjugates = group._conjugate(everything, (s,))
+        assert [group[y] for y in conjugates] == [gen * el * gen for el in group]
+    rng = random.Random(name)
+    for _ in range(12):
+        u = tuple(rng.randrange(ctx.rank) for _ in range(rng.randint(2, 4)))
+        conjugates = group._conjugate(everything, u)
+        for x, y in zip(everything, conjugates):
+            assert group[y] == ctx.element(u[::-1] + group.word(x) + u), (u, x)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(8)"])
@@ -734,11 +754,17 @@ def test_classes_suite_counts_involutions_from_the_inverse_table(monkeypatch):
     assert len(built) == 9
 
 
-def test_classes_suite_builds_no_conjugation_table():
-    # the class search visits involutions only, reading s i s = (i s)^-1 s
+def test_classes_suite_builds_no_conjugation_table(monkeypatch):
+    # the class search visits involutions only, reading s i s = (i s)^-1 s:
+    # no conjugation pass over W, and no index set conjugated by a word
+    def no_conjugation(self, *args):
+        raise AssertionError("a conjugation over W was run")
+
+    monkeypatch.setattr(finite.FiniteGroup, "_pass", no_conjugation)
+    monkeypatch.setattr(finite.FiniteGroup, "_conjugate", no_conjugation)
     group = enumerate_group(CoxeterContext.from_name("D5"))
     assert finite.verify_suite("classes", group) == (6, [])
-    assert "_conj" not in vars(group)
+    assert not group._passes and not group._class_memo
 
 
 @pytest.mark.parametrize("suite", finite.SUITES)
