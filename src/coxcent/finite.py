@@ -27,24 +27,22 @@ strictly increasing indices of its members.  Sorted indices are ShortLex
 order, so a view needs no sort key, and no word dict is kept, for a view or
 for W: an element's index is its word walked through the step table.  Past
 that lookup, no oracle but the brute-force `centralizer` walks a word.  The
-involutions are the x with inv[x] = x.  The conjugation pass of k runs
-along the BFS tree, d[g] = g^-1 k g = s d[parent[g]] s with s = last[g].
-`normalizer` keeps x iff d_s[x] lies in W_I for every s in I.  The class
-engine (`class_centralizer`) makes one pass per conjugacy class, whose fibre
-at rep is Z_W(rep), and gets Z_W(c) = g^-1 Z_W(rep) g for the other members
-c; conjugating an index set by a word costs four lookups per letter and
-member.
+involutions are the x with inv[x] = x, listed once per group.  The
+conjugation pass of a generator s runs along the BFS tree,
+d[g] = g^-1 s g = t d[parent[g]] t with t = last[g], three lookups a slot as
+every conjugate of s is an involution.  `normalizer` keeps x iff d_s[x] lies
+in W_I for every s in I.
 
 These oracles exist to verify, by exhaustion, that a conjugation certificate
 (I, u) really does describe the centralizer of an involution:
-Z_W(w) = u^-1 N_W(W_I) u (the main suite), and that Z_W(rho_I) = N_W(W_I)
-for every (-1)-type subset I (prop2).  prop2 compares index lists with the
-class engine's Z_W, which reads neither the certificate nor the normalizer.
-main checks by generators and orders (`verify_centralizer_certificate`), on
-the certificate table, each entry checked to give u w u^-1 = rho_I with I of
-(-1)-type; the tests check it against the set equality of `class_centralizer`
-and `conjugated_normalizer`, and the table against the descent.  prop1 runs
-the orbit-vector descent itself on every involution.
+Z_W(w) = u^-1 N_W(W_I) u (the main suite).  Once the certificate's walk
+gives u w u^-1 = rho_I, conjugation by u maps Z_W(w) onto Z_W(rho_I), so the
+identity for w is Z_W(rho_I) = N_W(W_I) for I, the prop2 suite's.
+`verify_centralizer_is_normalizer` decides that once per subset, by
+generators and orders, and main checks only each involution's certificate
+before reading it.  The tests check the verdict against the set equality of
+an independent class engine, and the certificate table against the descent.
+prop1 runs the orbit-vector descent itself on every involution.
 The brute-force `centralizer`, which tests g w = w g for every g, is kept as
 the oracle of the tests and of the CLI's brute_force_match field.
 """
@@ -54,11 +52,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations, islice
-from operator import lt
+from operator import index, lt
 
 from .group import CoxeterContext, GroupElement, word_to_string
 from .involution import (
     InvolutionCertificate,
+    _checked_parabolic,
     _parabolic,
     involution_certificate,
     is_minus_one_type,
@@ -137,12 +136,11 @@ class FiniteGroup:
     follows the parents.  `group[i]` builds GroupElement(context, word(i))
     on demand, its orbit vector walked lazily.  The inverse table
     (from the first-letter and suffix recurrences) is derived on first use
-    and kept, as are the generators' conjugation passes and each
-    involution's certificate and class size; the memos hold
-    one normalizer index list and one generating set of N_W(W_I) with its
-    order per parabolic subset, and one index pair per conjugacy class.
-    Nothing held here refers back to the group, so it is freed by reference
-    counting.
+    and kept, as are the list of involutions, the generators' conjugation
+    passes and each involution's certificate and class size; the memos hold
+    one normalizer index list and one verdict Z_W(rho_I) = N_W(W_I) per
+    parabolic subset.  Nothing held here refers back to the group, so it is
+    freed by reference counting.
     """
 
     def __init__(self, context: CoxeterContext, parent: list[int], last: list,
@@ -151,21 +149,20 @@ class FiniteGroup:
         self._parent, self._last, self._steps = parent, last, steps
         # subset -> N_W(W_I) as a validated index list, shared by every view of it
         self._normalizer_memo: dict[frozenset, list[int]] = {}
-        # member index -> (Z_W(rep) as indices, transversal c -> g with
-        # g^-1 rep g = c), one shared pair per conjugacy class met so far
-        self._class_memo: dict[int, tuple[list[int], dict[int, int]]] = {}
-        # generator index -> its conjugation pass, at most rank lists of |W| slots
+        # generator -> its conjugation pass, at most rank lists of |W| slots
         self._passes: dict[int, list[int]] = {}
-        # subset -> (words generating N_W(W_I), None if their closure falls
-        # short; |N_W(W_I)|), read by verify_centralizer_certificate
-        self._generators_memo: dict[frozenset, tuple[list | None, int]] = {}
+        # subset -> whether Z_W(rho_I) = N_W(W_I), read by prop2 and main
+        self._verdicts: dict[frozenset, bool] = {}
 
     def __len__(self):
         return len(self._steps)
 
     def __getitem__(self, i: int) -> GroupElement:
         """Element i, built on demand; negative indices count from the end."""
-        return GroupElement(self.context, self.word(range(len(self))[i]))
+        n = len(self)
+        if not -n <= index(i) < n:
+            raise IndexError(f"element index {i} out of range for a group of {n} elements")
+        return GroupElement(self.context, self.word(i % n))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -205,10 +202,10 @@ class FiniteGroup:
         inv[x] = steps[inv[y]][first[x]]; y is shorter, so inv[y] is known.
         A generator is its own inverse.
 
-        Checked to be an involutive permutation: every conjugation reads it
-        twice per letter, and the normalizer and the class engine conjugate
-        on both sides of the sets they compare, so a wrong inverse must fail
-        here instead of agreeing with itself.
+        Checked to be an involutive permutation: every conjugation reads it,
+        and the certificate table and the class sizes rest on the involutions
+        it marks, so a wrong inverse must fail here instead of agreeing with
+        itself.
         """
         steps, parent, last = self._steps, self._parent, self._last
         first, suffix, inv = [0] * len(steps), [0] * len(steps), list(range(len(steps)))
@@ -224,17 +221,21 @@ class FiniteGroup:
             raise AssertionError("inverse table is not an involution")
         return inv
 
-    def _pass(self, k: int) -> list[int]:
-        """d[g], the index of g^-1 k g, with d[g] = s d[p] s for g = p s along
-        the BFS tree; kept when k is a generator, index 1..rank."""
-        d = self._passes.get(k)
+    @cached_property
+    def _involutions(self) -> list[int]:
+        """The indices x with inv[x] = x, identity included, ascending."""
+        return [i for i, j in enumerate(self._inv) if i == j]
+
+    def _pass(self, s: int) -> list[int]:
+        """d[g], the index of g^-1 s g for the generator s, kept: d[g] = t d[p] t
+        for g = p t along the BFS tree.  d[p] is a conjugate of s, so an
+        involution, and t x t = (x t)^-1 t for x = x^-1 is three lookups."""
+        d = self._passes.get(s)
         if d is None:
             steps, inv = self._steps, self._inv
-            d = [k]
-            for p, s in zip(islice(self._parent, 1, None), islice(self._last, 1, None)):
-                d.append(steps[inv[steps[inv[d[p]]][s]]][s])
-            if 0 < k <= self.context.rank:
-                self._passes[k] = d
+            d = self._passes[s] = [steps[0][s]]
+            for p, t in zip(islice(self._parent, 1, None), islice(self._last, 1, None)):
+                d.append(steps[inv[steps[d[p]][t]]][t])
         return d
 
     @cached_property
@@ -252,7 +253,7 @@ class FiniteGroup:
         """
         steps, inv = self._steps, self._inv
         certs = {}
-        for x in [i for i, j in enumerate(inv) if i == j]:
+        for x in self._involutions:
             row = steps[x]
             for s, t in enumerate(row):
                 if t < x:
@@ -272,23 +273,6 @@ class FiniteGroup:
     def _class_sizes(self) -> dict[int, int]:
         """Involution index -> the size of its conjugacy class, from one orbit search."""
         return {i: len(members) for members in _involution_orbits(self) for i in members}
-
-    def _normalizer_generators(self, subset) -> tuple[list | None, int]:
-        """(X_I, |N_W(W_I)|): the simple generators when N_W(W_I) is W, else
-        words taken greedily from `normalizer(I)`, kept only when their
-        closure has exactly |N_W(W_I)| members (X_I is None otherwise)."""
-        subset = frozenset(subset)
-        found = self._generators_memo.get(subset)
-        if found is None:
-            members = normalizer(subset, self).indices
-            if len(members) == len(self):
-                gens = [(s,) for s in range(self.context.rank)]
-            else:
-                gens, order = _greedy_generators(self, members)
-                if order != len(members):
-                    gens = None
-            found = self._generators_memo[subset] = (gens, len(members))
-        return found
 
     def _conjugate(self, indices, word) -> list[int]:
         """The indices of u^-1 x u for x in `indices`, u the product of the word.
@@ -418,7 +402,7 @@ def enumerate_group(ctx: CoxeterContext, cap: int = DEFAULT_ENUMERATION_CAP) -> 
 
 def involutions(group: FiniteGroup) -> list[GroupElement]:
     """The g in the group with g g = 1, identity included, in ShortLex order."""
-    return [group[i] for i, j in enumerate(group._inv) if i == j]
+    return [group[i] for i in group._involutions]
 
 
 def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
@@ -434,35 +418,6 @@ def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     for p, s in zip(islice(group._parent, 1, None), islice(group._last, 1, None)):
         wg.append(steps[wg[p]][s])
     return ElementSet(group, [g for g, x in enumerate(wg) if walk(g, word_w) == x])
-
-
-def class_centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
-    """Z_W(w) from the class engine, one pass over W per conjugacy class.
-
-    The first member of a class asked for becomes its rep, and its
-    conjugation pass gives d[g] = g^-1 rep g for every g.  The fibre
-    d == rep is Z_W(rep), and the first g in index order with d[g] = c
-    is kept as c's transversal element.  Only that pair is kept, under every
-    member's index; a later member c costs |Z_W(rep)| lookups per letter of
-    its transversal element g, as Z_W(c) = g^-1 Z_W(rep) g.  Same set as the
-    brute-force `centralizer`.
-    """
-    k = group.index_of(w)
-    memo = group._class_memo
-    found = memo.get(k)
-    if found is None:
-        d = group._pass(k)
-        z = [g for g, c in enumerate(d) if c == k]
-        # later keys overwrite earlier ones, so walking d backwards leaves
-        # the first g for each c
-        transversal = dict(zip(reversed(d), range(len(d) - 1, -1, -1)))
-        if len(z) * len(transversal) != len(group):
-            raise AssertionError("|Z_W(w)| x |class of w| != |W|")
-        found = (z, transversal)
-        for c in transversal:
-            memo[c] = found
-    z, transversal = found
-    return ElementSet(group, sorted(group._conjugate(z, group.word(transversal[k]))))
 
 
 def normalizer(subset, group: FiniteGroup) -> ElementSet:
@@ -490,21 +445,11 @@ def normalizer(subset, group: FiniteGroup) -> ElementSet:
                 frontier.append(y)
     members = range(len(steps))
     for s in gens:
-        d = group._pass(steps[0][s])
+        d = group._pass(s)
         members = [x for x in members if inside[d[x]]]
     view = ElementSet(group, members)
     memo[subset] = view.indices
     return view
-
-
-def verify_centralizer_is_normalizer(subset, group: FiniteGroup) -> bool:
-    """Z_W(rho_I) = N_W(W_I) for a (-1)-type subset I, as sorted index lists.
-
-    Z_W(rho_I) comes from the class engine, not from the brute-force
-    `centralizer`; the tests check that the two agree.
-    """
-    rho = longest_element(group.context, subset)
-    return class_centralizer(rho, group).indices == normalizer(subset, group).indices
 
 
 def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> ElementSet:
@@ -546,29 +491,60 @@ def _greedy_generators(group: FiniteGroup, members) -> tuple[list[tuple[int, ...
     return gens, len(elements)
 
 
+def verify_centralizer_is_normalizer(subset, group: FiniteGroup) -> bool:
+    """Z_W(rho_I) = N_W(W_I), by generators and orders, decided once per subset.
+
+    X_I is the simple generators when N_W(W_I) is W, else the words that
+    `_greedy_generators` takes from `normalizer(I)`.  Three checks, each of
+    which can fail on its own, make the verdict exact:
+
+    * the closure of X_I over the step table has |N_W(W_I)| members, and X_I
+      lies in N_W(W_I), so <X_I> = N_W(W_I);
+    * every x in X_I commutes with rho_I, so N_W(W_I) lies in Z_W(rho_I);
+    * |N_W(W_I)| |class of rho_I| = |W|, and |Z_W(rho_I)| = |W| / |class of
+      rho_I| by orbit-stabilizer, so the inclusion is an equality.
+
+    x commutes with rho_I iff walk(rho_I, x) = walk(walk(0, x), rho_I).  The
+    class sizes come from one orbit search over the involutions per group.
+    The verdict is kept on the group for the subset, where the prop2 suite
+    and every involution that main certifies to I read it; the subset is
+    checked before the memo is read.
+    """
+    key = frozenset(subset)
+    rho_word = _checked_parabolic(group.context, key)[0]
+    verdict = group._verdicts.get(key)
+    if verdict is None:
+        members = normalizer(key, group).indices
+        if len(members) == len(group):
+            gens, order = [(s,) for s in range(group.context.rank)], len(group)
+        else:
+            gens, order = _greedy_generators(group, members)
+        walk = group.walk
+        rho = walk(0, rho_word)
+        verdict = group._verdicts[key] = (
+            order == len(members)
+            and len(members) * group._class_sizes[rho] == len(group)
+            and all(walk(rho, x) == walk(walk(0, x), rho_word) for x in gens))
+    return verdict
+
+
 def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
-    """Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w, by generators and orders.
+    """Z_W(w) = u^-1 N_W(W_I) u for the certificate (I, u) of w.
 
     (I, u) is read off the group's certificate table (FiniteGroup._certificates),
     not by the orbit-vector descent; u is the table's steps reversed.  The
     entry is checked, not trusted: I must be of (-1)-type, and u w u^-1,
     walked from the unreduced word, must be the index of rho_I, taken from
-    the subset memo.  Then, with X_I the words generating N_W(W_I), every
-    u^-1 x u (x in X_I) must commute with w, and |N_W(W_I)| |class of w|
-    must be |W|.  That is exact:
+    the subset memo.  Then the identity for w is the subset's:
 
-    * X_I lies in N_W(W_I), from `normalizer`, and its closure over the step
-      table has |N_W(W_I)| members, so <X_I> = N_W(W_I) and
-      u^-1 N_W(W_I) u lies in Z_W(w);
-    * |Z_W(w)| = |W| / |class of w| by orbit-stabilizer, so the inclusion
-      is an equality.
+    * u w u^-1 = rho_I, so g commutes with w iff u g u^-1 commutes with
+      rho_I, and conjugation by u maps Z_W(w) onto Z_W(rho_I):
+      Z_W(w) = u^-1 Z_W(rho_I) u;
+    * so Z_W(w) = u^-1 N_W(W_I) u iff Z_W(rho_I) = N_W(W_I), which
+      `verify_centralizer_is_normalizer` decides by generators and orders,
+      once per subset for every involution certified to it.
 
-    u^-1 x u commutes with w iff x commutes with v = u w u^-1.  So each x
-    costs the two short walks of walk(v, x) = walk(walk(0, x), word(v)), not
-    four through u.  It reads v's own word, not rho_I's, which would make it
-    decide v = rho_I too, so that each check fails on its own.  X_I and
-    |N_W(W_I)| are kept per subset, the class sizes per group (one orbit
-    search over the involutions).  A non-involution raises ValueError.
+    A non-involution raises ValueError.
     """
     k = group.index_of(w)
     cert = group._certificates.get(k)
@@ -579,14 +555,9 @@ def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
     if entry is None or not entry[2]:
         return False
     walk = group.walk
-    v = walk(0, steps[::-1] + w.word + steps)
-    if v != walk(0, entry[0]):
+    if walk(0, steps[::-1] + w.word + steps) != walk(0, entry[0]):
         return False
-    gens, order = group._normalizer_generators(subset)
-    if gens is None or order * group._class_sizes[k] != len(group):
-        return False
-    v_word = group.word(v)
-    return all(walk(v, x) == walk(walk(0, x), v_word) for x in gens)
+    return verify_centralizer_is_normalizer(subset, group)
 
 
 def _involution_orbits(group: FiniteGroup) -> list[list[int]]:
@@ -598,7 +569,7 @@ def _involution_orbits(group: FiniteGroup) -> list[list[int]]:
     lookups in the step and inverse tables, and no conjugation pass is run.
     """
     steps, inv = group._steps, group._inv
-    unassigned = {i for i, j in enumerate(inv) if i == j}
+    unassigned = set(group._involutions)
     out = []
     while unassigned:
         rep = min(unassigned)
@@ -675,8 +646,7 @@ def _suite_classes(group):
         if longest_element(group.context, cert.subset) not in members:
             failures.append({"instance": instance,
                              "reason": "class misses its certificate's longest element"})
-    count = sum(i == j for i, j in enumerate(group._inv))
-    if sum(len(c) for c, _ in classes) != count:
+    if sum(len(c) for c, _ in classes) != len(group._involutions):
         failures.append({"instance": "partition", "reason": "classes do not cover all involutions"})
     return len(classes), failures
 
@@ -694,11 +664,16 @@ def verify_suite(name: str, group: FiniteGroup) -> tuple[int, list[dict]]:
     """(instances_checked, failures) of the suite `name`, one of SUITES, over the group.
 
     prop1: every involution's certificate verifies.  prop2: Z_W(rho_I) =
-    N_W(W_I) for every (-1)-type I, Z_W from the class engine, as sorted
-    index lists.  main: Z_W(w) = u^-1 N_W(W_I) u for every involution w, by
-    generators and orders, (I, u) read off the certificate table
-    (`verify_centralizer_certificate`).  classes: the
-    involution classes partition the involutions and each holds its
-    certificate's rho_I.  Failures name instances 1-based.
+    N_W(W_I) for every (-1)-type I, by generators and orders
+    (`verify_centralizer_is_normalizer`).  main: Z_W(w) = u^-1 N_W(W_I) u
+    for every involution w, (I, u) read off the certificate table and
+    checked to give u w u^-1 = rho_I, the rest read from prop2's verdict
+    for I, decided once per subset (`verify_centralizer_certificate`).
+    classes: the involution classes partition the involutions and each
+    holds its certificate's rho_I.  Failures name instances 1-based; an
+    unknown name raises ValueError.
     """
-    return _SUITE_RUNNERS[name](group)
+    runner = _SUITE_RUNNERS.get(name)
+    if runner is None:
+        raise ValueError(f"unknown suite {name!r}, expected one of {', '.join(SUITES)}")
+    return runner(group)

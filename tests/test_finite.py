@@ -17,7 +17,6 @@ from coxcent import (
     InfiniteGroupError,
     InvolutionCertificate,
     centralizer,
-    class_centralizer,
     enumerate_group,
     involution_certificate,
     involution_classes,
@@ -31,6 +30,8 @@ from coxcent import (
 )
 from coxcent import cli, finite
 from coxcent.finite import conjugated_normalizer
+
+from class_engine import class_centralizer, class_memo
 
 
 def el(ctx, text):
@@ -136,7 +137,8 @@ def test_group_indexing(group_of):
     assert group[0].is_identity and group[-1] == group[len(group) - 1]
     assert group[-1].length == 6 and list(group) == [group[i] for i in range(len(group))]
     for i in (len(group), -len(group) - 1):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError,
+                           match=f"^element index {i} out of range for a group of 24 elements$"):
             group[i]
 
 
@@ -178,8 +180,9 @@ def test_class_centralizer_matches_brute_force(name):
         want = sorted(group.index_of(g) for g in centralizer(w, group))
         assert got == want, w.word
     # one memo entry per involution, one pass per class
-    assert len(group._class_memo) == len(members)
-    assert len({id(v) for v in group._class_memo.values()}) == len(involution_classes(group))
+    memo = class_memo(group)
+    assert len(memo) == len(members)
+    assert len({id(v) for v in memo.values()}) == len(involution_classes(group))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(8)", "A2xB2"])
@@ -229,8 +232,8 @@ def test_centralizer_certificate_f4_random(group_of, context_of):
 
 
 def _set_equality(w, group, cert=None):
-    """The independent oracle of the main identity: Z_W(w) from the class
-    engine against u^-1 N_W(W_I) u, member by member, as sorted index lists."""
+    """The independent oracle of the main identity: Z_W(w) from the test
+    class engine against u^-1 N_W(W_I) u, member by member, as sorted index lists."""
     cert = cert or involution_certificate(w)
     return class_centralizer(w, group).indices == conjugated_normalizer(cert, group).indices
 
@@ -258,19 +261,60 @@ def _closure(group, words):
     return seen
 
 
+def _minus_one_subsets(ctx):
+    """The (-1)-type subsets as frozensets, in the prop2 suite's order."""
+    return [frozenset(c) for k in range(ctx.rank + 1) for c in combinations(range(ctx.rank), k)
+            if is_minus_one_type(ctx, c)]
+
+
 def test_main_suite_reads_no_class_centralizer():
     group = enumerate_group(CoxeterContext.from_name("D5"))
     assert finite.verify_suite("main", group) == (156, [])
-    assert not group._class_memo
-    # one class-size entry per involution, one generator memo entry per certificate subset
-    assert len(group._class_sizes) == 156
     subsets = {involution_certificate(w).subset for w in involutions(group)}
-    assert set(group._generators_memo) == subsets
+    assert group._verdicts == dict.fromkeys(subsets, True)
+    assert sorted(group._passes) == sorted(set().union(*subsets))
+    assert not class_memo(group)
+
+
+def test_main_after_prop2_adds_no_verdict_and_no_pass():
+    group = enumerate_group(CoxeterContext.from_name("D5"))
+    assert finite.verify_suite("prop2", group) == (15, [])
+    verdicts, passes = dict(group._verdicts), dict(group._passes)
+    normalizers = dict(group._normalizer_memo)
+    assert set(verdicts) == set(_minus_one_subsets(group.context))
+    assert finite.verify_suite("main", group) == (156, [])
+    assert group._verdicts == verdicts
+    assert group._passes.keys() == passes.keys()
+    assert all(group._passes[s] is d for s, d in passes.items())
+    assert group._normalizer_memo.keys() == normalizers.keys()
+
+
+@pytest.mark.parametrize("name", ["H3", "B4", "A5", "D5", "F4", "E6"])
+def test_prop2_verdict_matches_the_class_engine(group_of, name):
+    # every (-1)-type subset, and on A5 and D5 every subset: A5's {1, 2, 3, 5}
+    # and {1, 3, 4, 5} and D5's {3, 4, 5} have |N_W(W_I)| = |Z_W(rho_I)| with
+    # N_W(W_I) != Z_W(rho_I), which only the commutation check refuses
+    group = group_of(name)
+    ctx = group.context
+    subsets = _minus_one_subsets(ctx)
+    if name in ("A5", "D5"):
+        subsets = [c for k in range(ctx.rank + 1) for c in combinations(range(ctx.rank), k)]
+    verdicts = []
     for subset in subsets:
-        gens, order = group._generators_memo[subset]
-        members = normalizer(subset, group).indices
-        assert order == len(members)
-        assert _closure(group, gens) == set(members)
+        rho = longest_element(ctx, subset)
+        want = class_centralizer(rho, group).indices == normalizer(subset, group).indices
+        assert verify_centralizer_is_normalizer(subset, group) is want, subset
+        verdicts.append(want)
+    assert True in verdicts and (False in verdicts) is (name in ("A5", "D5"))
+
+
+def test_prop2_checks_the_subset_before_its_verdict():
+    group = enumerate_group(CoxeterContext.from_name("A3"))
+    assert verify_centralizer_is_normalizer({1}, group) is True
+    for s in (True, 1.0, 3, -1):
+        with pytest.raises(ValueError, match=f"^generator index {s} out of range 0..2$"):
+            verify_centralizer_is_normalizer({s}, group)
+    assert list(group._verdicts) == [frozenset({1})]
 
 
 @pytest.mark.parametrize("name", ["B4", "D5", "F4", "I2(8)"])
@@ -310,11 +354,59 @@ def test_main_fails_when_the_greedy_selection_skips_a_generator(monkeypatch, nam
             continue
         mutated += 1
         assert verify_centralizer_certificate(w, group) is False, w.word
-        assert group._generators_memo[cert.subset][0] is None
+        assert group._verdicts[cert.subset] is False
         assert _set_equality(w, group)
     assert mutated > 0
     checked, failures = finite.verify_suite("main", group)
     assert len(failures) == mutated and checked == len(involutions(group))
+
+
+@pytest.mark.parametrize("name", ["B4", "D5"])
+def test_prop2_fails_when_the_greedy_selection_skips_a_generator(monkeypatch, name):
+    # the dropped word leaves a proper subgroup of N_W(W_I), which still
+    # commutes with rho_I and leaves the orders as they were: only the
+    # closure check sees it
+    group = enumerate_group(CoxeterContext.from_name(name))
+    greedy = finite._greedy_generators
+
+    def skipping(group, members):
+        gens = greedy(group, members)[0][:-1]
+        return gens, len(_closure(group, gens))
+
+    monkeypatch.setattr(finite, "_greedy_generators", skipping)
+    subsets = _minus_one_subsets(group.context)
+    whole = [len(normalizer(c, group)) == len(group) for c in subsets]
+    checked, failures = finite.verify_suite("prop2", group)
+    assert checked == len(subsets) and 0 < len(failures) < checked
+    assert [f["instance"] for f in failures] == \
+        [sorted(s + 1 for s in c) for c, w in zip(subsets, whole) if not w]
+
+
+@pytest.mark.parametrize("name", ["B4", "D5"])
+def test_prop2_fails_when_the_generators_close_to_a_conjugate_subgroup(monkeypatch, name):
+    # N_W(W_I) swapped for s N_W(W_I) s, s a generator that does not
+    # normalize it: a subgroup of the right order that the greedy words
+    # close to exactly, so only the commutation check refuses it
+    ctx = CoxeterContext.from_name(name)
+    group = enumerate_group(ctx)
+    swapped = {}
+    for subset in _minus_one_subsets(ctx):
+        members = normalizer(subset, group).indices
+        for s in range(ctx.rank):
+            moved = sorted(group._conjugate(members, (s,)))
+            if moved != members:
+                swapped[subset] = moved
+                break
+    assert swapped
+    true_normalizer = finite.normalizer
+
+    def conjugated(subset, group):
+        members = swapped.get(frozenset(subset))
+        return true_normalizer(subset, group) if members is None else ElementSet(group, members)
+
+    monkeypatch.setattr(finite, "normalizer", conjugated)
+    for subset in _minus_one_subsets(ctx):
+        assert verify_centralizer_is_normalizer(subset, group) is (subset not in swapped), subset
 
 
 @pytest.mark.parametrize("name", ["B4", "D5"])
@@ -392,15 +484,20 @@ def test_main_builds_no_involution_certificate(monkeypatch):
 
 @pytest.mark.parametrize("name", ["B4", "D5"])
 def test_main_fails_with_a_class_size_off_by_one(name):
-    group = enumerate_group(CoxeterContext.from_name(name))
-    sizes = group._class_sizes
-    for w in involutions(group):
-        c = group.index_of(w)
+    # on a fresh group per subset I and sign, |class of rho_I| is put off by
+    # one: prop2 refuses I, and main every involution certified to I, and
+    # no other
+    ctx = CoxeterContext.from_name(name)
+    subsets = _minus_one_subsets(ctx)
+    for subset in subsets:
         for delta in (1, -1):
-            sizes[c] += delta
-            assert verify_centralizer_certificate(w, group) is False, (w.word, delta)
-            sizes[c] -= delta
-        assert verify_centralizer_certificate(w, group) is True
+            group = enumerate_group(ctx)
+            group._class_sizes[group.walk(0, longest_element(ctx, subset).word)] += delta
+            for w in involutions(group):
+                want = group._certificates[group.index_of(w)][0] != subset
+                assert verify_centralizer_certificate(w, group) is want, (w.word, delta)
+            for other in subsets:
+                assert verify_centralizer_is_normalizer(other, group) is (other != subset)
 
 
 def test_involution_classes_a2(group_of):
@@ -583,7 +680,7 @@ def test_conjugation_pass_matches_normal_forms(name):
     ctx = CoxeterContext.from_name(name)
     group = enumerate_group(ctx)
     for s in range(ctx.rank):
-        pass_s = group._pass(group.walk(0, (s,)))
+        pass_s = group._pass(s)
         for g, el in enumerate(group):
             assert group[pass_s[g]] == ctx.element(el.word[::-1] + (s,) + el.word)
 
@@ -595,11 +692,12 @@ def test_normalizers_keep_at_most_rank_passes():
         for subset in combinations(range(ctx.rank), k):
             normalizer(subset, group)
     assert len(group._normalizer_memo) == 2 ** ctx.rank
-    assert sorted(group._passes) == [group.walk(0, (s,)) for s in range(ctx.rank)]
+    assert sorted(group._passes) == list(range(ctx.rank))
     assert all(len(d) == len(group) for d in group._passes.values())
-    # a class rep that is not a generator gets its pass, which is not kept
+    # the test class engine runs its own passes and keeps none on the group
+    passes = dict(group._passes)
     class_centralizer(longest_element(ctx, {0, 1}), group)
-    assert len(group._passes) == ctx.rank
+    assert group._passes == passes
 
 
 @pytest.mark.parametrize("name", ["H3", "B4", "D4", "F4"])
@@ -754,6 +852,34 @@ def test_classes_suite_counts_involutions_from_the_inverse_table(monkeypatch):
     assert len(built) == 9
 
 
+class _Unscannable(list):
+    """An inverse table that can be indexed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the inverse table was scanned")
+
+
+def test_involutions_are_listed_once_per_group():
+    # the certificate table, involutions(), the class search and the classes
+    # suite's count all read the one list, not the inverse table again
+    group = enumerate_group(CoxeterContext.from_name("B4"))
+    listed = group._involutions
+    assert listed == [x for x in range(len(group)) if group._inv[x] == x]
+    assert len(listed) == 76
+    group._inv = _Unscannable(group._inv)
+    assert [group.index_of(w) for w in involutions(group)] == listed
+    assert list(group._certificates) == listed
+    assert sorted(x for members in finite._involution_orbits(group) for x in members) == listed
+    assert finite.verify_suite("classes", group) == (9, [])
+    assert group._involutions is listed
+
+
+def test_verify_suite_refuses_an_unknown_name(group_of):
+    with pytest.raises(ValueError, match="^unknown suite 'bogus', expected one of "
+                                         "prop1, prop2, main, classes$"):
+        finite.verify_suite("bogus", group_of("A2"))
+
+
 def test_classes_suite_builds_no_conjugation_table(monkeypatch):
     # the class search visits involutions only, reading s i s = (i s)^-1 s:
     # no conjugation pass over W, and no index set conjugated by a word
@@ -764,7 +890,7 @@ def test_classes_suite_builds_no_conjugation_table(monkeypatch):
     monkeypatch.setattr(finite.FiniteGroup, "_conjugate", no_conjugation)
     group = enumerate_group(CoxeterContext.from_name("D5"))
     assert finite.verify_suite("classes", group) == (6, [])
-    assert not group._passes and not group._class_memo
+    assert not group._passes
 
 
 @pytest.mark.parametrize("suite", finite.SUITES)
