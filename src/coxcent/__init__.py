@@ -4,8 +4,8 @@ For any involution w the library computes a pair (I, u) with u w u^-1 the
 longest element of a (-1)-type standard parabolic W_I, so that
 Z_W(w) = u^-1 N_W(W_I) u.  On finite groups the identity is verified by
 exhaustion, on index tables over the enumerated group: normalizers from one
-conjugation pass per generator, and for each (-1)-type subset a few words
-generating N_W(W_I) that must commute with rho_I, with
+conjugation pass per generator, and for each (-1)-type subset every member
+of N_W(W_I) must commute with rho_I, with
 |N_W(W_I)| |class of rho_I| = |W|; an involution's identity is its
 certificate's subset's, once u w u^-1 = rho_I.  All arithmetic is exact.
 """

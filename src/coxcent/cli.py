@@ -102,7 +102,7 @@ def _load_system(args, parser) -> tuple[CoxeterContext, str | dict]:
         if len(m) != rank:
             raise ValueError(f"matrix has {len(m)} rows, declared rank {rank}")
         ctx = CoxeterContext(m)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         parser.error(f"bad matrix file {args.matrix_file}: {exc}")
     return ctx, {"rank": rank, "m": [list(row) for row in ctx.matrix]}
 

@@ -38,10 +38,11 @@ These oracles exist to verify, by exhaustion, that a conjugation certificate
 Z_W(w) = u^-1 N_W(W_I) u (the main suite).  Once the certificate's walk
 gives u w u^-1 = rho_I, conjugation by u maps Z_W(w) onto Z_W(rho_I), so the
 identity for w is Z_W(rho_I) = N_W(W_I) for I, the prop2 suite's.
-`verify_centralizer_is_normalizer` decides that once per subset, by
-generators and orders, and main checks only each involution's certificate
-before reading it.  The tests check the verdict against the set equality of
-an independent class engine, and the certificate table against the descent.
+`verify_centralizer_is_normalizer` decides that once per subset: every
+member of N_W(W_I) commutes with rho_I, and |N_W(W_I)| |class of rho_I| =
+|W|.  main checks only each involution's certificate before reading it.
+The tests check the verdict against the set equality of an independent
+class engine, and the certificate table against the descent.
 prop1 runs the orbit-vector descent itself on every involution.
 The brute-force `centralizer`, which tests g w = w g for every g, is kept as
 the oracle of the tests and of the CLI's brute_force_match field.
@@ -99,15 +100,18 @@ class ElementSet:
 
     def __init__(self, group: FiniteGroup, indices):
         indices = list(indices)
-        if indices and not (0 <= indices[0] and indices[-1] < len(group)
+        if indices and not ({*map(type, indices)} == {int} and 0 <= indices[0]
+                            and indices[-1] < len(group)
                             and all(map(lt, indices, islice(indices, 1, None)))):
-            raise ValueError("indices must be strictly increasing and within the group")
+            raise ValueError("indices must be strictly increasing ints within the group")
         self.group = group
         self.indices = indices
 
     @classmethod
     def _trusted(cls, group: FiniteGroup, indices: list[int]) -> ElementSet:
-        """A view sharing a list that an earlier view has validated."""
+        """A view over a list that is strictly increasing ints within the group
+        as built: an oracle's filter over the indices in order, a sorted set
+        of indices, or the normalizer memo's list."""
         view = cls.__new__(cls)
         view.group, view.indices = group, indices
         return view
@@ -147,7 +151,7 @@ class FiniteGroup:
                  steps: list[tuple[int, ...]]):
         self.context = context
         self._parent, self._last, self._steps = parent, last, steps
-        # subset -> N_W(W_I) as a validated index list, shared by every view of it
+        # subset -> N_W(W_I) as an ascending index list, shared by every view of it
         self._normalizer_memo: dict[frozenset, list[int]] = {}
         # generator -> its conjugation pass, at most rank lists of |W| slots
         self._passes: dict[int, list[int]] = {}
@@ -417,7 +421,7 @@ def centralizer(w: GroupElement, group: FiniteGroup) -> ElementSet:
     wg = [k]
     for p, s in zip(islice(group._parent, 1, None), islice(group._last, 1, None)):
         wg.append(steps[wg[p]][s])
-    return ElementSet(group, [g for g, x in enumerate(wg) if walk(g, word_w) == x])
+    return ElementSet._trusted(group, [g for g, x in enumerate(wg) if walk(g, word_w) == x])
 
 
 def normalizer(subset, group: FiniteGroup) -> ElementSet:
@@ -447,9 +451,8 @@ def normalizer(subset, group: FiniteGroup) -> ElementSet:
     for s in gens:
         d = group._pass(s)
         members = [x for x in members if inside[d[x]]]
-    view = ElementSet(group, members)
-    memo[subset] = view.indices
-    return view
+    members = memo[subset] = list(members)  # a range when I is empty
+    return ElementSet._trusted(group, members)
 
 
 def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> ElementSet:
@@ -458,73 +461,37 @@ def conjugated_normalizer(cert: InvolutionCertificate, group: FiniteGroup) -> El
     return ElementSet(group, sorted(group._conjugate(members, cert.conjugator.word)))
 
 
-def _greedy_generators(group: FiniteGroup, members) -> tuple[list[tuple[int, ...]], int]:
-    """(X, |<X>|): the words of the members, in index order, that lie outside
-    the subgroup generated by the words taken before them, and the order of
-    the group they generate.
-
-    The group is closed over the step table by Dimino's coset enumeration.
-    When a word joins, H = <earlier words> grows by right cosets, appended
-    as runs of |H| members, run H r led by r.  A leader r and a word x with
-    r x outside give the run H r x, x walked from each member of H r.  Once
-    every run is expanded, the members are closed under every word taken.
-    """
-    steps, walk = group._steps, group.walk
-    gens, elements, inside = [], [0], bytearray(len(group))
-    inside[0] = 1
-    for g in members:
-        if inside[g]:
-            continue
-        gens.append(group.word(g))
-        size, start = len(elements), 0
-        while start < len(elements):
-            r = elements[start]
-            for word in gens:
-                if not inside[walk(r, word)]:
-                    coset = elements[start:start + size]
-                    for s in word:
-                        coset = [steps[x][s] for x in coset]
-                    for x in coset:
-                        inside[x] = 1
-                    elements += coset
-            start += size
-    return gens, len(elements)
-
-
 def verify_centralizer_is_normalizer(subset, group: FiniteGroup) -> bool:
-    """Z_W(rho_I) = N_W(W_I), by generators and orders, decided once per subset.
+    """Z_W(rho_I) = N_W(W_I), by the member check and orders, decided once per subset.
 
-    X_I is the simple generators when N_W(W_I) is W, else the words that
-    `_greedy_generators` takes from `normalizer(I)`.  Three checks, each of
-    which can fail on its own, make the verdict exact:
+    X is the members of `normalizer(I)`, or the simple generators when
+    N_W(W_I) is W: then rho_I is central iff it commutes with S, where every
+    member would cost |W| 2 l(rho_I) lookups.  Two checks, each of which can
+    fail on its own, make the verdict exact:
 
-    * the closure of X_I over the step table has |N_W(W_I)| members, and X_I
-      lies in N_W(W_I), so <X_I> = N_W(W_I);
-    * every x in X_I commutes with rho_I, so N_W(W_I) lies in Z_W(rho_I);
+    * every x in X commutes with rho_I, so N_W(W_I) lies in Z_W(rho_I);
     * |N_W(W_I)| |class of rho_I| = |W|, and |Z_W(rho_I)| = |W| / |class of
       rho_I| by orbit-stabilizer, so the inclusion is an equality.
 
-    x commutes with rho_I iff walk(rho_I, x) = walk(walk(0, x), rho_I).  The
-    class sizes come from one orbit search over the involutions per group.
-    The verdict is kept on the group for the subset, where the prop2 suite
-    and every involution that main certifies to I read it; the subset is
-    checked before the memo is read.
+    x rho_I is walk(x, rho_I), and rho_I x = inv[walk(inv[x], rho_I^-1)],
+    as (rho_I x)^-1 = x^-1 rho_I^-1: lookups only, and no member's word is
+    read.  The class sizes come from one orbit search over the involutions
+    per group.  The verdict is kept on the group for the subset, where the
+    prop2 suite and every involution that main certifies to I read it; the
+    subset is checked before the memo is read.
     """
     key = frozenset(subset)
     rho_word = _checked_parabolic(group.context, key)[0]
     verdict = group._verdicts.get(key)
     if verdict is None:
         members = normalizer(key, group).indices
-        if len(members) == len(group):
-            gens, order = [(s,) for s in range(group.context.rank)], len(group)
-        else:
-            gens, order = _greedy_generators(group, members)
-        walk = group.walk
-        rho = walk(0, rho_word)
+        order = len(members)
+        if order == len(group):
+            members = group._steps[0]
+        walk, inv, back = group.walk, group._inv, rho_word[::-1]
         verdict = group._verdicts[key] = (
-            order == len(members)
-            and len(members) * group._class_sizes[rho] == len(group)
-            and all(walk(rho, x) == walk(walk(0, x), rho_word) for x in gens))
+            order * group._class_sizes[walk(0, rho_word)] == len(group)
+            and all(walk(x, rho_word) == inv[walk(inv[x], back)] for x in members))
     return verdict
 
 
@@ -541,8 +508,8 @@ def verify_centralizer_certificate(w: GroupElement, group: FiniteGroup) -> bool:
       rho_I, and conjugation by u maps Z_W(w) onto Z_W(rho_I):
       Z_W(w) = u^-1 Z_W(rho_I) u;
     * so Z_W(w) = u^-1 N_W(W_I) u iff Z_W(rho_I) = N_W(W_I), which
-      `verify_centralizer_is_normalizer` decides by generators and orders,
-      once per subset for every involution certified to it.
+      `verify_centralizer_is_normalizer` decides by the member check and
+      orders, once per subset for every involution certified to it.
 
     A non-involution raises ValueError.
     """
@@ -596,7 +563,7 @@ def involution_classes(group: FiniteGroup) -> list[tuple[ElementSet, InvolutionC
     sorted by their representative.  That each class holds the longest
     element its certificate names is checked by the `classes` suite, not here.
     """
-    return [(ElementSet(group, members), involution_certificate(group[members[0]]))
+    return [(ElementSet._trusted(group, members), involution_certificate(group[members[0]]))
             for members in _involution_orbits(group)]
 
 
@@ -664,7 +631,7 @@ def verify_suite(name: str, group: FiniteGroup) -> tuple[int, list[dict]]:
     """(instances_checked, failures) of the suite `name`, one of SUITES, over the group.
 
     prop1: every involution's certificate verifies.  prop2: Z_W(rho_I) =
-    N_W(W_I) for every (-1)-type I, by generators and orders
+    N_W(W_I) for every (-1)-type I, by the member check and orders
     (`verify_centralizer_is_normalizer`).  main: Z_W(w) = u^-1 N_W(W_I) u
     for every involution w, (I, u) read off the certificate table and
     checked to give u w u^-1 = rho_I, the rest read from prop2's verdict

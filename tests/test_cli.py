@@ -176,6 +176,17 @@ def test_matrix_file_invalid(tmp_path):
     assert "symmetric" in proc.stderr
 
 
+def test_matrix_file_nested_too_deep(tmp_path):
+    # json.load raises RecursionError, not a JSONDecodeError
+    path = tmp_path / "deep.json"
+    depth = 200_000
+    path.write_text('{"rank": 1, "m": ' + "[" * depth + "1" + "]" * depth + "}")
+    proc = run("reduce", "--matrix", str(path), "--word", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"bad matrix file {path}: maximum recursion depth exceeded" in proc.stderr
+
+
 @pytest.mark.parametrize("doc,shown", [
     ({"rank": 3, "m": [[1, 3], [3, 1]]}, "matrix has 2 rows, declared rank 3"),
     ({"rank": 1, "m": [[1, 3], [3, 1]]}, "matrix has 2 rows, declared rank 1"),

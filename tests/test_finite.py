@@ -27,6 +27,7 @@ from coxcent import (
     verify_centralizer_certificate,
     verify_centralizer_is_normalizer,
     word_from_string,
+    word_to_string,
 )
 from coxcent import cli, finite
 from coxcent.finite import conjugated_normalizer
@@ -240,25 +241,13 @@ def _set_equality(w, group, cert=None):
 
 @pytest.mark.parametrize("name, count", [("H3", 32), ("B4", 76), ("A5", 76), ("D5", 156),
                                          ("F4", 140), ("E6", 892)])
-def test_generators_and_orders_agree_with_set_equality(group_of, name, count):
+def test_main_agrees_with_set_equality(group_of, name, count):
     group = group_of(name)
     members = involutions(group)
     assert len(members) == count
     for w in members:
         assert verify_centralizer_certificate(w, group) is True, w.word
         assert _set_equality(w, group) is True, w.word
-
-
-def _closure(group, words):
-    """The indices of <words>, by a plain BFS over right multiplication."""
-    seen, frontier = {0}, [0]
-    for x in frontier:
-        for word in words:
-            y = group.walk(x, word)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
 
 
 def _minus_one_subsets(ctx):
@@ -317,76 +306,54 @@ def test_prop2_checks_the_subset_before_its_verdict():
     assert list(group._verdicts) == [frozenset({1})]
 
 
-@pytest.mark.parametrize("name", ["B4", "D5", "F4", "I2(8)"])
-def test_greedy_generators_close_by_cosets(name):
-    # on a standard parabolic the greedy takes its simple generators, in order
+@pytest.mark.parametrize("name", ["B4", "D5"])
+def test_prop2_and_main_fail_when_a_member_does_not_commute(name):
+    # for each I with N_W(W_I) != W, the first and then the last member of
+    # N_W(W_I) is swapped for an element that does not commute with rho_I, so
+    # lies outside it, the count kept: only the member check sees it, and
+    # prop2 refuses I, and main every involution certified to I, and no other
     ctx = CoxeterContext.from_name(name)
     group = enumerate_group(ctx)
-    for k in range(ctx.rank + 1):
-        for subset in combinations(range(ctx.rank), k):
-            parabolic = sorted(group.walk(0, w.word) for w in group if set(w.word) <= set(subset))
-            assert finite._greedy_generators(group, parabolic) == \
-                ([(s,) for s in subset], len(parabolic)), subset
-    # on every normalizer, the greedy order is the order of a plain BFS closure
-    for k in range(1, ctx.rank):
-        for subset in combinations(range(ctx.rank), k):
-            members = normalizer(subset, group).indices
-            gens, order = finite._greedy_generators(group, members)
-            assert order == len(members) and _closure(group, gens) == set(members), subset
-
-
-@pytest.mark.parametrize("name", ["B4", "D5"])
-def test_main_fails_when_the_greedy_selection_skips_a_generator(monkeypatch, name):
-    group = enumerate_group(CoxeterContext.from_name(name))
-    greedy = finite._greedy_generators
-
-    def skipping(group, members):
-        gens = greedy(group, members)[0][:-1]
-        return gens, len(_closure(group, gens))
-
-    monkeypatch.setattr(finite, "_greedy_generators", skipping)
+    memo = group._normalizer_memo
+    certified = {x: cert[0] for x, cert in group._certificates.items()}
     mutated = 0
-    for w in involutions(group):
-        cert = involution_certificate(w)
-        if len(normalizer(cert.subset, group)) == len(group):
-            # N_W(W_I) = W takes the simple generators, not the greedy selection
-            assert verify_centralizer_certificate(w, group)
-            continue
-        mutated += 1
-        assert verify_centralizer_certificate(w, group) is False, w.word
-        assert group._verdicts[cert.subset] is False
-        assert _set_equality(w, group)
+    for subset in _minus_one_subsets(ctx):
+        members = normalizer(subset, group).indices
+        if len(members) == len(group):
+            continue  # the simple generators are checked, not the members
+        rho = longest_element(ctx, subset)
+        outside = sorted(set(range(len(group))) - set(centralizer(rho, group).indices))
+        for end in (0, -1):
+            swapped = list(members)
+            swapped[end] = outside[end]
+            memo[subset] = sorted(swapped)
+            group._verdicts.clear()
+            assert finite.verify_suite("prop2", group)[1] == \
+                [{"instance": sorted(s + 1 for s in subset),
+                  "reason": "centralizer of longest element != normalizer"}]
+            group._verdicts.clear()
+            failures = finite.verify_suite("main", group)[1]
+            assert [f["instance"] for f in failures] == \
+                [word_to_string(group.word(x)) for x, c in certified.items() if c == subset]
+            mutated += 1
+        memo[subset] = members
     assert mutated > 0
-    checked, failures = finite.verify_suite("main", group)
-    assert len(failures) == mutated and checked == len(involutions(group))
+
+
+def test_prop2_reads_no_word(monkeypatch):
+    def refuse(self, i):
+        raise AssertionError("prop2 read a member's word")
+
+    group = enumerate_group(CoxeterContext.from_name("D5"))
+    monkeypatch.setattr(finite.FiniteGroup, "word", refuse)
+    assert finite.verify_suite("prop2", group) == (15, [])
 
 
 @pytest.mark.parametrize("name", ["B4", "D5"])
-def test_prop2_fails_when_the_greedy_selection_skips_a_generator(monkeypatch, name):
-    # the dropped word leaves a proper subgroup of N_W(W_I), which still
-    # commutes with rho_I and leaves the orders as they were: only the
-    # closure check sees it
-    group = enumerate_group(CoxeterContext.from_name(name))
-    greedy = finite._greedy_generators
-
-    def skipping(group, members):
-        gens = greedy(group, members)[0][:-1]
-        return gens, len(_closure(group, gens))
-
-    monkeypatch.setattr(finite, "_greedy_generators", skipping)
-    subsets = _minus_one_subsets(group.context)
-    whole = [len(normalizer(c, group)) == len(group) for c in subsets]
-    checked, failures = finite.verify_suite("prop2", group)
-    assert checked == len(subsets) and 0 < len(failures) < checked
-    assert [f["instance"] for f in failures] == \
-        [sorted(s + 1 for s in c) for c, w in zip(subsets, whole) if not w]
-
-
-@pytest.mark.parametrize("name", ["B4", "D5"])
-def test_prop2_fails_when_the_generators_close_to_a_conjugate_subgroup(monkeypatch, name):
+def test_prop2_fails_on_a_conjugate_of_the_normalizer(monkeypatch, name):
     # N_W(W_I) swapped for s N_W(W_I) s, s a generator that does not
-    # normalize it: a subgroup of the right order that the greedy words
-    # close to exactly, so only the commutation check refuses it
+    # normalize it: a subgroup of the right order, so only the member check
+    # refuses it
     ctx = CoxeterContext.from_name(name)
     group = enumerate_group(ctx)
     swapped = {}
@@ -744,7 +711,8 @@ def test_view_requires_strictly_increasing_indices(group_of):
     group = group_of("A3")
     assert list(ElementSet(group, [0, 3, 7]).indices) == [0, 3, 7]
     assert len(ElementSet(group, [])) == 0
-    for bad in ([0, 0], [3, 1], [0, 2, 2, 5], [-1, 0], [0, len(group)]):
+    for bad in ([0, 0], [3, 1], [0, 2, 2, 5], [-1, 0], [0, len(group)],
+                [True, 2], [0.5], [1.0]):
         with pytest.raises(ValueError):
             ElementSet(group, bad)
 
